@@ -12,52 +12,43 @@ state honest:
 * :func:`shadow_checks` (or the ``REPRO_SHADOW_CHECKS`` env var) wraps
   ``GlobalPlan.add``/``remove`` and ``IEPEngine.apply`` so every mutation
   is audited as it happens;
-* :func:`run_fuzz` replays seeded random atomic-operation streams over
-  small Meetup instances and cross-checks the incremental IEP path
-  against a from-scratch rebuild, and the vectorized kernel against the
-  scalar fallbacks (surfaced as ``repro-gepc fuzz``);
-* :func:`run_crash_fuzz` kills a :class:`~repro.platform.durable
-  .DurablePlatform` at seeded-random injection points (with and without
-  torn WAL tails), recovers, and diffs the recovered state against an
-  uncrashed twin (surfaced as ``repro-gepc fuzz --durable``; see
-  ``docs/durability.md``);
-* :func:`run_service_fuzz` drives seeded operation streams through the
-  real planning-service client/server loop and holds every frame in
-  lockstep against an in-process oracle (surfaced as
-  ``repro-gepc fuzz --service``; see ``docs/service.md``);
+* :func:`run_fuzz` is the one differential fuzz driver
+  (``repro-gepc fuzz``): per seed it runs a seeded operation stream
+  through an in-memory oracle twin (:func:`run_twin`) and diffs every
+  system under test against it — the incremental IEP engine (audited,
+  rebuilt from scratch, kernel vs scalar), the batched and sharded
+  paths, a crash-injected durable platform recovered at its durable
+  horizon, and the planning service over HTTP/WebSocket.  The CLI
+  flags ``--sharded``/``--durable``/``--service`` are presets of it
+  (see ``docs/correctness.md`` §3);
 * :mod:`repro.check.lockdep` instruments ``threading`` lock creation to
   record the runtime lock-acquisition order (cross-checked against the
   static RL010 declared-order table) and heartbeats the service event
-  loop to catch stalls — rides along with the service fuzz leg under
-  ``REPRO_SHADOW_CHECKS=1``.
+  loop to catch stalls — rides along with the fuzz driver's service
+  preset under ``REPRO_SHADOW_CHECKS=1``.
 
 See ``docs/correctness.md`` for the full guide.
 """
 
 from repro.check.auditor import AuditReport, CacheMismatch, InvariantAuditor
-from repro.check.crashfuzz import (
-    CrashFuzzConfig,
-    CrashFuzzSummary,
-    CrashScenarioReport,
+from repro.check.fuzz import (
+    PRESETS,
+    CrashScenario,
+    FuzzConfig,
+    FuzzSummary,
+    SeedReport,
+    Twin,
     TwinState,
-    crash_fuzz_seed,
-    run_crash_fuzz,
+    fuzz_seed,
+    run_fuzz,
     run_twin,
 )
-from repro.check.fuzz import FuzzConfig, FuzzSummary, SeedReport, fuzz_seed, run_fuzz
 from repro.check.lockdep import (
     LockDep,
     LockDepSummary,
     LoopWatchdog,
     lockdep_checks,
     maybe_lockdep,
-)
-from repro.check.servicefuzz import (
-    ServiceFuzzConfig,
-    ServiceFuzzSummary,
-    ServiceSeedReport,
-    run_service_fuzz,
-    service_fuzz_seed,
 )
 from repro.check.shadow import (
     ENV_VAR,
@@ -70,11 +61,10 @@ from repro.check.shadow import (
 
 __all__ = [
     "ENV_VAR",
+    "PRESETS",
     "AuditReport",
     "CacheMismatch",
-    "CrashFuzzConfig",
-    "CrashFuzzSummary",
-    "CrashScenarioReport",
+    "CrashScenario",
     "FuzzConfig",
     "FuzzSummary",
     "InvariantAuditor",
@@ -82,21 +72,16 @@ __all__ = [
     "LockDepSummary",
     "LoopWatchdog",
     "SeedReport",
-    "ServiceFuzzConfig",
-    "ServiceFuzzSummary",
-    "ServiceSeedReport",
     "ShadowCheckError",
     "ShadowStats",
+    "Twin",
     "TwinState",
-    "crash_fuzz_seed",
     "fuzz_seed",
     "lockdep_checks",
     "maybe_lockdep",
     "maybe_shadow_checks",
-    "run_crash_fuzz",
     "run_fuzz",
     "run_twin",
-    "service_fuzz_seed",
     "shadow_checks",
     "shadow_checks_enabled",
 ]

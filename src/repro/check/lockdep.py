@@ -26,7 +26,7 @@ evidence of blocking work that reached the loop despite the executor
 discipline.  Stalls are advisory (CI runners stutter); order violations
 and dynamic cycles are failures.
 
-Enabled in the service fuzz leg under ``REPRO_SHADOW_CHECKS=1``::
+Enabled in the fuzz driver's service preset under ``REPRO_SHADOW_CHECKS=1``::
 
     REPRO_SHADOW_CHECKS=1 repro-gepc fuzz --service --seeds 10
 

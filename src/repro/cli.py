@@ -34,13 +34,7 @@ import sys
 
 from repro.bench.harness import measure
 from repro.bench.tables import format_table
-from repro.check import (
-    CrashFuzzConfig,
-    FuzzConfig,
-    maybe_shadow_checks,
-    run_crash_fuzz,
-    run_fuzz,
-)
+from repro.check import PRESETS, FuzzConfig, maybe_shadow_checks, run_fuzz
 from repro.core.constraints import check_plan
 from repro.core.gepc import GAPBasedSolver, GreedySolver
 from repro.core.model import InstanceStats
@@ -279,113 +273,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.durable:
-        return _fuzz_durable(args)
-    if args.service:
-        return _fuzz_service(args)
+    """Run the differential fuzz driver under the preset the flags name."""
+    preset = next(
+        (name for name in ("sharded", "durable", "service")
+         if getattr(args, name)),
+        "memory",
+    )
     config = FuzzConfig(
+        preset=preset,
         operations=args.operations,
         n_users=args.users,
         n_events=args.events,
-        sharded=args.sharded,
     )
     seeds = range(args.base_seed, args.base_seed + args.seeds)
     summary = run_fuzz(seeds, config)
+    title = PRESETS[preset][0]
     print(
         format_table(
-            f"Differential fuzz: seeds {seeds.start}..{seeds.stop - 1}",
-            [
-                "seeds", "operations", "checks", "mismatches",
-                "violations", "max drift", "repins",
-            ],
-            [[
-                summary.seeds,
-                summary.operations,
-                summary.checks,
-                len(summary.mismatches),
-                len(summary.violations),
-                summary.max_drift,
-                summary.repins,
-            ]],
-        )
-    )
-    for report in summary.failures():
-        print(f"seed {report.seed} FAILED:", file=sys.stderr)
-        for mismatch in report.mismatches[:10]:
-            print(f"  {mismatch}", file=sys.stderr)
-        for violation in report.violations[:10]:
-            print(f"  {violation}", file=sys.stderr)
-        print(
-            f"  reproduce: repro-gepc fuzz --base-seed {report.seed} "
-            f"--seeds 1 --operations {report.operations}",
-            file=sys.stderr,
-        )
-    return 0 if summary.ok else 1
-
-
-def _fuzz_durable(args: argparse.Namespace) -> int:
-    """Crash-recovery fuzz: kill at every injection point, recover, diff."""
-    config = CrashFuzzConfig(
-        operations=args.operations,
-        n_users=args.users,
-        n_events=args.events,
-    )
-    seeds = range(args.base_seed, args.base_seed + args.seeds)
-    summary = run_crash_fuzz(seeds, config)
-    print(
-        format_table(
-            f"Crash-recovery fuzz: seeds {seeds.start}..{seeds.stop - 1}",
-            [
-                "seeds", "scenarios", "replayed", "torn records",
-                "mismatches", "violations",
-            ],
-            [[
-                summary.seeds,
-                summary.scenarios,
-                summary.replayed,
-                summary.truncated_records,
-                len(summary.mismatches),
-                len(summary.violations),
-            ]],
-        )
-    )
-    for report in summary.failures():
-        print(f"{report.label()} FAILED:", file=sys.stderr)
-        for mismatch in report.mismatches[:10]:
-            print(f"  {mismatch}", file=sys.stderr)
-        for violation in report.violations[:10]:
-            print(f"  {violation}", file=sys.stderr)
-        print(
-            f"  reproduce: repro-gepc fuzz --durable "
-            f"--base-seed {report.seed} --seeds 1 "
-            f"--operations {config.operations}",
-            file=sys.stderr,
-        )
-    return 0 if summary.ok else 1
-
-
-def _fuzz_service(args: argparse.Namespace) -> int:
-    """Service-loop fuzz: real client/server loop vs in-process oracle."""
-    from repro.check import ServiceFuzzConfig, run_service_fuzz
-
-    config = ServiceFuzzConfig(
-        operations=args.operations,
-        n_users=args.users,
-        n_events=args.events,
-    )
-    seeds = range(args.base_seed, args.base_seed + args.seeds)
-    summary = run_service_fuzz(seeds, config)
-    print(
-        format_table(
-            f"Service fuzz: seeds {seeds.start}..{seeds.stop - 1}",
-            ["seeds", "operations", "checks", "mismatches", "violations"],
-            [[
-                summary.seeds,
-                summary.operations,
-                summary.checks,
-                len(summary.mismatches),
-                len(summary.violations),
-            ]],
+            f"{title}: seeds {seeds.start}..{seeds.stop - 1}",
+            *summary.table(),
         )
     )
     if summary.lockdep is not None:
@@ -408,12 +314,7 @@ def _fuzz_service(args: argparse.Namespace) -> int:
             print(f"  {mismatch}", file=sys.stderr)
         for violation in report.violations[:10]:
             print(f"  {violation}", file=sys.stderr)
-        print(
-            f"  reproduce: repro-gepc fuzz --service "
-            f"--base-seed {report.seed} --seeds 1 "
-            f"--operations {report.operations}",
-            file=sys.stderr,
-        )
+        print(f"  reproduce: {config.reproduce(report.seed)}", file=sys.stderr)
     return 0 if summary.ok else 1
 
 
@@ -586,23 +487,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", type=int, default=10,
         help="events per fuzz instance (default 10)",
     )
-    fuzz.add_argument(
+    # Presets of the one driver (docs/correctness.md §3); at most one.
+    presets = fuzz.add_mutually_exclusive_group()
+    presets.add_argument(
         "--sharded", action="store_true",
-        help="additionally cross-check the sharded solver and batched "
-        "platform against their monolithic/serial counterparts",
+        help="also feed the stream to the batched platform (vs serial "
+        "replay) and cross-check the sharded solver against monolithic "
+        "greedy",
     )
-    fuzz.add_argument(
+    presets.add_argument(
         "--durable", action="store_true",
         help="crash-recovery fuzz: kill a DurablePlatform at every "
         "injection point (with and without torn WAL tails), recover, "
-        "and diff against an uncrashed twin (see docs/durability.md)",
+        "and diff against the twin at the durable horizon (see "
+        "docs/durability.md)",
     )
-    fuzz.add_argument(
+    presets.add_argument(
         "--service", action="store_true",
-        help="service-loop fuzz: drive the operation streams through "
-        "the real planning-service client/server loop (HTTP + "
-        "WebSocket) and diff every frame against an in-process "
-        "oracle (see docs/service.md)",
+        help="service-loop fuzz: drive the stream through the real "
+        "planning-service client/server loop (HTTP + WebSocket) and "
+        "diff every frame against the twin (see docs/service.md)",
     )
     _add_trace_arguments(fuzz)
     fuzz.set_defaults(handler=_cmd_fuzz)

@@ -16,10 +16,6 @@ interface so the same cache can be filled three interchangeable ways:
 ``scalar``
     Pure-python per-event splice arithmetic — slow by design, the ground
     truth the vectorized strategies are audited and fuzzed against.
-``numba``
-    Optional compiled row kernel, registered only when :mod:`numba` is
-    importable (skip-guarded like the optional ILP solvers elsewhere in
-    the tree; selecting it without numba installed fails loudly).
 
 All strategies are **bit-identical**: every elementwise float operation is
 performed in the same order, so deltas compare equal with ``==`` and the
@@ -45,14 +41,6 @@ from repro.obs import get_recorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.plan import GlobalPlan
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba
-except ImportError:  # pragma: no cover - the common (pure numpy) build
-    numba = None
-
-#: Whether the optional compiled kernel can be selected at all.
-NUMBA_AVAILABLE = numba is not None
 
 #: Environment flag CI pins per matrix leg: ``batched|rowwise|scalar``.
 ENV_VAR = "REPRO_KERNEL"
@@ -391,55 +379,6 @@ class SplicePlanes:
         )
 
 
-if NUMBA_AVAILABLE:  # pragma: no cover - requires the optional numba build
-
-    @numba.njit(cache=True)
-    def _numba_row_deltas(events, starts, user_row, ee, fees, out):
-        k = events.shape[0]
-        m = out.shape[0]
-        for e in range(m):
-            fee = fees[e]
-            if k == 0:
-                out[e] = 2.0 * user_row[e] + fee
-                continue
-            start = starts[e]
-            position = 0
-            while position < k and starts[events[position]] <= start:
-                position += 1
-            if position == 0:
-                s = events[0]
-                delta = -user_row[s] + user_row[e] + ee[e, s]
-            elif position == k:
-                p = events[k - 1]
-                delta = -user_row[p] + ee[p, e] + user_row[e]
-            else:
-                p = events[position - 1]
-                s = events[position]
-                delta = -ee[p, s] + ee[p, e] + ee[e, s]
-            out[e] = delta + fee
-
-    class NumbaKernel(KernelStrategy):
-        """Compiled per-row kernel (same scalar op order → bit-identical)."""
-
-        name = "numba"
-
-        def row(
-            self, plan: "GlobalPlan", user: int
-        ) -> tuple[np.ndarray, np.ndarray]:
-            instance = plan.instance
-            d = instance.distances
-            deltas = np.empty(instance.n_events, dtype=float)
-            _numba_row_deltas(
-                np.asarray(plan._plans[user], dtype=np.int64),
-                instance.event_starts,
-                d.user_event_row(user),
-                d.event_event_matrix,
-                instance.fee_vector,
-                deltas,
-            )
-            return deltas, _row_mask(plan, user, deltas)
-
-
 # --------------------------------------------------------------------- #
 # Registry and selection
 # --------------------------------------------------------------------- #
@@ -457,26 +396,18 @@ def register_strategy(strategy: KernelStrategy) -> KernelStrategy:
 register_strategy(ScalarKernel())
 register_strategy(RowwiseKernel())
 register_strategy(BatchedKernel())
-if NUMBA_AVAILABLE:  # pragma: no cover - requires the optional numba build
-    register_strategy(NumbaKernel())
 
 
 def available_strategies() -> tuple[str, ...]:
-    """Registered strategy names (``numba`` only when importable)."""
+    """Registered strategy names."""
     return tuple(sorted(_STRATEGIES))
 
 
 def resolve_strategy(name: str) -> KernelStrategy:
-    """Look up a strategy by name; unknown/unavailable names fail loudly."""
+    """Look up a strategy by name; unknown names fail loudly."""
     try:
         return _STRATEGIES[name]
     except KeyError:
-        if name == "numba":
-            raise ValueError(
-                "REPRO_KERNEL=numba requires the optional numba package "
-                "(not installed); available strategies: "
-                + ", ".join(available_strategies())
-            ) from None
         raise ValueError(
             f"unknown kernel strategy {name!r}; available: "
             + ", ".join(available_strategies())

@@ -186,8 +186,8 @@ class EBSNPlatform:
         ``cache_mismatches``/``cache_checks``.  The deep audit rebuilds
         the instance's caches, so keep it off hot paths.
         """
-        # Imported lazily: repro.check's package init imports the crash
-        # fuzzer, which imports the platform package back.
+        # Imported lazily: repro.check's package init imports the fuzz
+        # driver, which imports the platform package back.
         from repro.check.auditor import InvariantAuditor
 
         violations = check_plan(self._instance, self.plan)

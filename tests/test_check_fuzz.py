@@ -1,9 +1,10 @@
-"""Differential fuzzer: seeded streams are clean, deterministic, and the
-CLI gate exits by the summary verdict."""
+"""Differential fuzz driver: seeded streams are clean, deterministic,
+every preset reaches NewEvent, and the CLI gate exits by the summary
+verdict with a per-preset reproduce line."""
 
 import pytest
 
-from repro.check import FuzzConfig, fuzz_seed, run_fuzz
+from repro.check import PRESETS, FuzzConfig, fuzz_seed, run_fuzz
 from repro.core.tolerances import AUDIT_FLOAT_TOL
 from repro.obs import recording
 
@@ -64,23 +65,55 @@ class TestFuzzCLI:
         assert "Differential fuzz" in out
         assert "mismatches" in out
 
-    def test_fuzz_subcommand_fails_on_mismatch(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "preset", ["memory", "sharded", "durable", "service"]
+    )
+    def test_fuzz_subcommand_fails_on_mismatch(
+        self, preset, capsys, monkeypatch
+    ):
         from repro import cli
 
+        ran = []
+
         def sabotaged(seeds, config=None):
+            ran.append(config.preset)
             summary = run_fuzz(seeds, config)
             summary.reports[0].violations.append("injected failure")
             return summary
 
         monkeypatch.setattr(cli, "run_fuzz", sabotaged)
+        flag = [] if preset == "memory" else [f"--{preset}"]
         code = cli.main(
-            ["fuzz", "--seeds", "1", "--operations", "4",
+            ["fuzz", *flag, "--seeds", "1", "--operations", "4",
              "--users", "16", "--events", "8"]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert "FAILED" in err
-        assert "reproduce: repro-gepc fuzz --base-seed 0" in err
+        assert ran == [preset]
+        err = capsys.readouterr().err.splitlines()
+        assert "seed 0 FAILED:" in err
+        assert "  injected failure" in err
+        command = " ".join(["repro-gepc", "fuzz", *flag])
+        assert (
+            f"  reproduce: {command} --base-seed 0 --seeds 1 "
+            "--operations 4 --users 16 --events 8"
+        ) in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--durable", "--service"),
+            ("--sharded", "--durable"),
+            ("--sharded", "--service"),
+        ],
+        ids=["durable-service", "sharded-durable", "sharded-service"],
+    )
+    def test_presets_are_mutually_exclusive(self, flags, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fuzz", *flags])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestRepin:
@@ -120,7 +153,7 @@ class TestRepin:
 
 class TestShardedFuzz:
     SHARDED = FuzzConfig(
-        operations=6, n_users=16, n_events=8, sharded=True, shard_count=3
+        preset="sharded", operations=6, n_users=16, n_events=8
     )
 
     def test_sharded_mode_is_clean(self):
@@ -140,6 +173,26 @@ class TestShardedFuzz:
         sharded = fuzz_seed(3, self.SHARDED)
         assert sharded.checks > plain.checks
 
+    def test_flush_violation_count_is_one_check(self, monkeypatch):
+        # A flush is one check; a violation count the fuzzer's own
+        # check_plan does not confirm is a mismatch, not extra checks.
+        from repro.scale import BatchedPlatform
+
+        clean = fuzz_seed(0, self.SHARDED)
+        real_flush = BatchedPlatform.flush
+
+        def lying_flush(self):
+            result = real_flush(self)
+            result.violations += 5
+            return result
+
+        monkeypatch.setattr(BatchedPlatform, "flush", lying_flush)
+        lied = fuzz_seed(0, self.SHARDED)
+        kinds = {m.kind for m in lied.mismatches}
+        assert kinds == {"batched_flush_violations"}
+        assert lied.violations == []
+        assert lied.checks == clean.checks
+
     def test_sharded_cli_flag(self, capsys):
         from repro import cli
 
@@ -148,3 +201,67 @@ class TestShardedFuzz:
         )
         assert code == 0
         assert "mismatches" in capsys.readouterr().out
+
+
+def _twin(seed, config):
+    from repro.check import run_twin
+    from repro.core.gepc import GreedySolver
+    from repro.datasets.meetup import generate_ebsn
+    from repro.platform import EBSNPlatform
+
+    return run_twin(
+        EBSNPlatform(
+            generate_ebsn(config.meetup(seed)), solver=GreedySolver(seed=seed)
+        ),
+        config.operations,
+        seed,
+    )
+
+
+class TestNewEventCoverage:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_preset_applies_a_new_event(self, preset):
+        # Default op count and instance size: the shared per-step draw
+        # injects NewEvents into every leg, not only the in-memory one.
+        config = FuzzConfig(preset=preset)
+        new_events = _twin(0, config).new_event_seqs()
+        assert new_events
+        # Every leg applies every operation of the twin (a rejection on
+        # either side fails the seed), NewEvents included.
+        report = run_fuzz([0], config).reports[0]
+        assert report.ok, report.mismatches or report.violations
+        if preset == "durable":
+            # Some crash scenario recovers to a horizon past a NewEvent,
+            # so its WAL encoding is replayed or snapshotted and checked.
+            assert any(
+                s.recovered_seq >= min(new_events) for s in report.scenarios
+            )
+
+
+class TestTwinRejections:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_engine_error_on_a_valid_operation_fails_the_seed(
+        self, preset, monkeypatch
+    ):
+        # Every operation is drawn against the twin's current state, so
+        # an engine that raises on one is at fault.  All legs share the
+        # engine and would agree with the twin's rejection; the twin's
+        # rejection itself must fail every preset.
+        from repro.core.iep.engine import IEPEngine
+        from repro.core.iep.operations import NewEvent
+
+        apply = IEPEngine.apply
+
+        def broken(self, instance, plan, operation):
+            if isinstance(operation, NewEvent):
+                raise IndexError("injected engine bug")
+            return apply(self, instance, plan, operation)
+
+        monkeypatch.setattr(IEPEngine, "apply", broken)
+        summary = run_fuzz([0], FuzzConfig(preset=preset, operations=4))
+        assert not summary.ok
+        (violation,) = summary.violations
+        assert violation == (
+            "twin rejected a valid operation at seq 3 (NewEvent): "
+            "IndexError: injected engine bug"
+        )

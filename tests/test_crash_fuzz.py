@@ -1,70 +1,76 @@
-"""Crash-recovery fuzzing harness (the `fuzz --durable` leg)."""
+"""The fuzz driver's durable preset (`fuzz --durable`): crash points and
+torn tails, recovered and diffed against the twin at the horizon."""
 
 import pytest
 
-from repro.check import CrashFuzzConfig, crash_fuzz_seed, run_crash_fuzz
+from repro.check import CacheMismatch, FuzzConfig, fuzz_seed, run_fuzz
+from repro.check.fuzz import SNAPSHOT_EVERY
 from repro.platform.durable import CRASH_POINTS
 
-FAST = CrashFuzzConfig(operations=10, n_users=16, n_events=8)
+FAST = FuzzConfig(preset="durable", operations=10, n_users=16, n_events=8)
 
 
 class TestSeedMatrix:
     def test_every_point_and_tear_covered(self):
-        reports = crash_fuzz_seed(0, FAST)
-        covered = {(r.point, r.tear_tail) for r in reports}
+        report = fuzz_seed(0, FAST)
+        covered = {(s.point, s.tear_tail) for s in report.scenarios}
         assert covered == {
             (point, tear) for point in CRASH_POINTS for tear in (False, True)
         }
 
     def test_all_scenarios_recover_clean(self):
-        reports = crash_fuzz_seed(0, FAST)
-        failures = [r.label() for r in reports if not r.ok]
-        assert failures == []
+        report = fuzz_seed(0, FAST)
+        assert report.ok, report.mismatches or report.violations
         # Every scenario actually crashed and recovered to a real horizon.
-        assert all(r.crashed for r in reports)
+        assert all(s.crashed for s in report.scenarios)
 
     def test_torn_tails_are_truncated(self):
-        reports = crash_fuzz_seed(1, FAST)
+        report = fuzz_seed(1, FAST)
         torn = [
-            r for r in reports if r.tear_tail and r.point != "snapshot"
+            s for s in report.scenarios
+            if s.tear_tail and s.point != "snapshot"
         ]
         assert torn
-        assert all(r.truncated_records >= 1 for r in torn)
+        assert all(s.truncated_records >= 1 for s in torn)
 
     def test_scenarios_deterministic(self):
-        first = crash_fuzz_seed(2, FAST)
-        second = crash_fuzz_seed(2, FAST)
-        assert [(r.label(), r.recovered_seq) for r in first] == [
-            (r.label(), r.recovered_seq) for r in second
+        first = fuzz_seed(2, FAST)
+        second = fuzz_seed(2, FAST)
+        assert [(s.label(), s.recovered_seq) for s in first.scenarios] == [
+            (s.label(), s.recovered_seq) for s in second.scenarios
         ]
 
 
 class TestSummary:
     def test_multi_seed_aggregate(self):
-        summary = run_crash_fuzz([3, 4], FAST)
+        summary = run_fuzz([3, 4], FAST)
         assert summary.ok
         assert summary.seeds == 2
-        assert summary.scenarios == len(summary.reports)
+        assert len(summary.scenarios) == sum(
+            len(r.scenarios) for r in summary.reports
+        )
         assert summary.mismatches == []
         assert summary.violations == []
         assert summary.failures() == []
         assert summary.replayed >= 0
 
     def test_failures_surface_in_summary(self):
-        summary = run_crash_fuzz([5], FAST)
+        summary = run_fuzz([5], FAST)
         report = summary.reports[0]
-        report.mismatches.append("synthetic mismatch")
+        synthetic = CacheMismatch("synthetic", cached=1, expected=2)
+        report.mismatches.append(synthetic)
         assert not summary.ok
         assert summary.failures() == [report]
-        assert "synthetic mismatch" in summary.mismatches
+        assert synthetic in summary.mismatches
 
 
 class TestConfig:
     def test_defaults_are_fuzz_sized(self):
-        config = CrashFuzzConfig()
+        config = FuzzConfig()
         assert config.operations > 0
-        assert config.fsync is False
+        # Snapshots land mid-stream, so recovery replays on top of one.
+        assert SNAPSHOT_EVERY < config.operations
 
     def test_config_frozen(self):
         with pytest.raises(AttributeError):
-            CrashFuzzConfig().operations = 1
+            FuzzConfig().operations = 1

@@ -102,21 +102,11 @@ def test_available_strategies_contains_core_trio():
     names = kernel.available_strategies()
     for name in STRATEGIES:
         assert name in names
-    if not kernel.NUMBA_AVAILABLE:
-        assert "numba" not in names
 
 
 def test_unknown_strategy_fails_loudly():
     with pytest.raises(ValueError, match="unknown kernel strategy"):
         kernel.resolve_strategy("turbo")
-
-
-@pytest.mark.skipif(
-    kernel.NUMBA_AVAILABLE, reason="numba installed: selection succeeds"
-)
-def test_numba_unavailable_names_the_missing_package():
-    with pytest.raises(ValueError, match="numba"):
-        kernel.resolve_strategy("numba")
 
 
 def test_env_var_selects_strategy(monkeypatch):

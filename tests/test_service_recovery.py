@@ -5,8 +5,8 @@ threads stream operations at it; the process is SIGKILLed mid-stream
 (no shutdown path runs at all).  A restarted service must recover every
 tenant through strict auditing and be **bit-identical to an uncrashed
 in-process twin at the durable horizon** — the per-seq twin states come
-from the same :func:`repro.check.run_twin` machinery the crash fuzzer
-uses.
+from the same :func:`repro.check.run_twin` the fuzz driver diffs every
+leg against.
 """
 
 import os
@@ -24,7 +24,7 @@ import repro
 from repro.check import run_twin
 from repro.core.gepc import GreedySolver
 from repro.datasets import MeetupConfig, generate_ebsn
-from repro.platform import DurablePlatform
+from repro.platform import DurablePlatform, EBSNPlatform
 from repro.service import ServiceClient
 from repro.service.server import READY_LINE
 
@@ -85,27 +85,21 @@ def start_serve(root: Path) -> tuple[subprocess.Popen, int]:
 def crashed(tmp_path_factory):
     """Publish tenants, stream at them, SIGKILL mid-stream, restart."""
     root = tmp_path_factory.mktemp("service-crash")
-    twin_root = tmp_path_factory.mktemp("service-twin")
 
     # The uncrashed in-process twins: identical spec-deterministic
-    # instance, solver, and snapshot cadence; run_twin records the
-    # (utility, plan-summary) pair at every sequence number, i.e. at
-    # every possible durable horizon.
+    # instance and solver; run_twin records the (utility, plan-summary)
+    # pair at every sequence number, i.e. at every possible durable
+    # horizon.
     twins = {}
     op_lists = {}
     for name, seed in TENANTS.items():
-        platform = DurablePlatform(
-            make_instance(name),
-            twin_root / name,
-            solver=GreedySolver(seed=seed),
-            snapshot_every=SNAPSHOT_EVERY,
-            fsync=False,
+        twin = run_twin(
+            EBSNPlatform(make_instance(name), solver=GreedySolver(seed=seed)),
+            N_OPS,
+            seed,
         )
-        states, operations = run_twin(
-            platform, stream_seed=seed, n_operations=N_OPS
-        )
-        twins[name] = states
-        op_lists[name] = operations
+        twins[name] = twin.states
+        op_lists[name] = twin.operations
 
     proc, port = start_serve(root)
     try:
