@@ -25,16 +25,17 @@ any machine regardless of absolute baseline times):
 
 * ``"min_speedup": {"vs": <entry>, "factor": F, "min_cores": C}`` —
   this entry's wall time must be at least ``F``x faster than entry
-  ``vs`` in the same report.  Skipped (with a note) when the report's
-  ``cpu_count`` is below ``min_cores``: a 1-core runner cannot show
-  process-level parallelism and would only measure IPC overhead.
+  ``vs`` in the same report.  Skipped when the report's ``cpu_count``
+  is below ``min_cores``: a 1-core runner cannot show process-level
+  parallelism and would only measure IPC overhead.
 * ``"max_utility_gap_vs": {"vs": <entry>, "rtol": R}`` — this entry's
   utility may be at most ``R`` (relative) *below* entry ``vs``;
   exceeding it is allowed (one-sided: quality loss gates, gain doesn't).
 * ``"equal_utility_vs": {"vs": <entry>}`` — this entry's utility must
-  equal entry ``vs``'s **exactly** (bit-identical floats).  This is the
-  kernel-strategy contract: ``REPRO_KERNEL`` is a pure performance knob,
-  so any utility difference at all is a correctness bug, not drift.
+  equal entry ``vs``'s **exactly** (bit-identical floats).  The two
+  entries differ only in a pure performance knob (kernel strategy,
+  worker count, the WAL, the wire), so any utility difference at all is
+  a correctness bug, not drift.
 * ``"max_latency_ratio_vs": {"vs": <entry>, "quantile": "p50",
   "factor": F}`` — this entry's ``latency_ms`` quantile may be at most
   ``F`` times entry ``vs``'s same quantile.  This is the WAL-overhead
@@ -57,6 +58,10 @@ measured values — absolute, machine-calibrated with headroom):
   ``plane.compression`` (dense-equivalent plane MiB over peak resident
   tile MiB) must stay at least ``F``: the tiled backend's reason to
   exist.
+
+Every run ends with one ``skipped gates:`` line naming each gate that
+did not run on this report and why, so a gate that never fires is
+visible.
 
 Stdlib-only on purpose: CI runs it before (and independently of)
 installing the package.
@@ -83,8 +88,15 @@ def check(
     max_slowdown: float,
     utility_rtol: float,
     min_seconds: float,
+    skipped: list[str] | None = None,
 ) -> list[str]:
-    """All regression messages (empty means the gate passes)."""
+    """All regression messages (empty means the gate passes).
+
+    Gates that could not run on this report are appended to ``skipped``
+    as ``"<entry> <gate> (<why>)"``.
+    """
+    if skipped is None:
+        skipped = []
     problems: list[str] = []
     if report.get("schema_version") != baseline.get("schema_version"):
         problems.append(
@@ -113,7 +125,9 @@ def check(
                 name, entry, expected, max_slowdown, utility_rtol, min_seconds
             )
         )
-        problems.extend(_check_cross_entry(name, entry, expected, by_name, report))
+        problems.extend(
+            _check_cross_entry(name, entry, expected, by_name, report, skipped)
+        )
     for name in measured:
         print(f"note: {name}: in report but not in baseline (allowed)")
     return problems
@@ -125,6 +139,7 @@ def _check_cross_entry(
     expected: dict,
     by_name: dict,
     report: dict,
+    skipped: list[str],
 ) -> list[str]:
     """Report-internal speedup and utility-gap gates (baseline-declared)."""
     problems: list[str] = []
@@ -140,9 +155,8 @@ def _check_cross_entry(
                 f"{speedup_spec['vs']!r} missing from report"
             )
         elif cores < min_cores:
-            print(
-                f"note: {name}: min_speedup gate skipped "
-                f"(cpu_count {cores} < min_cores {min_cores})"
+            skipped.append(
+                f"{name} min_speedup (cpu_count {cores} < min_cores {min_cores})"
             )
         else:
             factor = float(speedup_spec["factor"])
@@ -171,8 +185,8 @@ def _check_cross_entry(
             if utility != reference:
                 problems.append(
                     f"{name}: utility {utility!r} != "
-                    f"{equal_spec['vs']}'s {reference!r} — kernel "
-                    "strategies must be bit-identical"
+                    f"{equal_spec['vs']}'s {reference!r}; equal_utility_vs "
+                    "requires bit-identical utilities"
                 )
 
     ratio_spec = expected.get("max_latency_ratio_vs")
@@ -195,10 +209,9 @@ def _check_cross_entry(
                     f"report entry or its {ratio_spec['vs']!r} reference"
                 )
             elif float(reference) < min_ms:
-                print(
-                    f"note: {name}: max_latency_ratio_vs gate skipped "
-                    f"({ratio_spec['vs']} {quantile} "
-                    f"{float(reference):.4f}ms < {min_ms}ms floor)"
+                skipped.append(
+                    f"{name} max_latency_ratio_vs ({ratio_spec['vs']} "
+                    f"{quantile} {float(reference):.4f}ms < {min_ms}ms floor)"
                 )
             else:
                 ratio = float(value) / float(reference)
@@ -314,6 +327,13 @@ def _check_entry(
     return problems
 
 
+def skipped_summary(skipped: list[str]) -> str:
+    """The one-line summary every run ends with."""
+    if not skipped:
+        return "skipped gates: none"
+    return f"skipped gates ({len(skipped)}): " + "; ".join(skipped)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("report", help="freshly generated bench_report.json")
@@ -335,21 +355,24 @@ def main(argv: list[str] | None = None) -> int:
 
     report = load(args.report)
     baseline = load(args.baseline)
+    skipped: list[str] = []
     problems = check(
         report,
         baseline,
         max_slowdown=args.max_slowdown,
         utility_rtol=args.utility_rtol,
         min_seconds=args.min_seconds,
+        skipped=skipped,
     )
     if problems:
         print("bench regression check FAILED:")
         for problem in problems:
             print(f"  - {problem}")
-        return 1
-    names = ", ".join(entry["solver"] for entry in baseline["entries"])
-    print(f"bench regression check passed ({names})")
-    return 0
+    else:
+        names = ", ".join(entry["solver"] for entry in baseline["entries"])
+        print(f"bench regression check passed ({names})")
+    print(skipped_summary(skipped))
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

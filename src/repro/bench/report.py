@@ -1,13 +1,13 @@
 """Machine-readable benchmark report for the CI regression gate.
 
 ``python -m repro.bench.report --preset small --out bench_report.json``
-runs a fixed, seeded workload (both GEPC solvers plus an IEP operation
-stream) and emits a stable ``BENCH_REPORT.json`` document::
+runs one fixed, seeded workload and emits a stable JSON document::
 
     {
       "schema": "repro.bench.report",
       "schema_version": 1,
       "preset": "small", "city": "beijing", "scale": 0.5, "seed": 0,
+      "cpu_count": 2,
       "entries": [
         {"solver": "greedy", "wall_time_s": ..., "peak_mib": ...,
          "utility": ..., "cancelled": 0,
@@ -17,10 +17,12 @@ stream) and emits a stable ``BENCH_REPORT.json`` document::
     }
 
 ``scripts/check_bench_regression.py`` diffs this against the committed
-``results/bench_baseline.json``: wall time is gated at a slowdown factor
+``results/bench_baseline*.json``: wall time is gated at a slowdown factor
 (absolute times vary across machines), utility at a tolerance (greedy and
 the IEP stream are bit-deterministic for a fixed seed; the GAP solver gets
-slack for LP-backend variation).  See ``docs/observability.md``.
+slack for LP-backend variation).  Cross-entry and absolute gate specs ride
+with the entries, so a regenerated baseline keeps its gates.  See
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,12 @@ import argparse
 import json
 import os
 import sys
+import tempfile
+import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.bench.harness import measure
 from repro.bench.tables import format_table
@@ -43,270 +49,47 @@ SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class Preset:
-    """One fixed CI workload: a scaled city plus an operation stream."""
+class Workload:
+    """One preset: the report header's city and scale, plus its runner.
+
+    ``run(seed)`` returns the report entries.  It is a ``partial`` bound
+    with the workload's own parameters; a keyword passed at call time
+    overrides the bound one (the tests shrink workloads this way).
+    """
 
     city: str
     scale: float
-    operations: int
-    include_gap: bool = True
-    trace_memory: bool = True
-    # Sharded presets measure greedy-mono vs ShardedSolver at worker
-    # counts 1 and N instead of the greedy/gap/IEP trio.
-    sharded: bool = False
-    shards: int = 4
-    # Allowed one-sided utility gap of the sharded entries below
-    # greedy-mono (boundary loss grows with shard count and city size).
-    utility_gap_rtol: float = 0.02
-    # Synthetic workload (n_users, n_events, n_groups, n_clusters):
-    # when set, the instance comes from ``generate_ebsn`` instead of
-    # ``make_city`` — cities cap at their real-data population, and the
-    # shard-scaling preset needs a workload large enough that per-shard
-    # solve time dominates dispatch overhead.
-    synthetic: tuple[int, int, int, int] | None = None
-    # Kernel-strategy presets additionally pin the greedy solve to each
-    # named ``repro.core.kernel`` strategy and emit one entry per
-    # strategy; the batched entry carries the speedup + bit-identical
-    # utility cross gates against the rowwise one.
-    kernel_strategies: tuple[str, ...] = ()
-    # Scale-soak presets (``scale_users > 0``): a synthetic
-    # ``generate_scale_instance`` workload served through
-    # :class:`repro.scale.BatchedPlatform` under the **tiled** distance
-    # backend with the LRU pinned to ``tile_cache_mib``.  The entry
-    # reports per-operation latency percentiles, throughput, peak RSS,
-    # and distance-plane compression, each gated by the thresholds
-    # below (emitted with the entry so a regenerated baseline keeps
-    # its gates; see scripts/check_bench_regression.py).
-    scale_users: int = 0
-    tile_cache_mib: float = 32.0
-    max_latency_p50_ms: float = 0.0
-    max_latency_p99_ms: float = 0.0
-    min_ops_per_sec: float = 0.0
-    max_peak_rss_mib: float = 0.0
-    min_plane_compression: float = 5.0
-    # Durable presets compare per-submit latency of the in-memory
-    # platform against the DurablePlatform (WAL append + fsync +
-    # periodic snapshots) on the same seeded stream; the durable entry
-    # carries a ``max_latency_ratio_vs`` gate at this p50 factor.
-    durable: bool = False
-    durable_latency_ratio: float = 1.5
-    # Service presets submit the identical one-op frames through the
-    # in-process BatchedPlatform and over the planning service's HTTP
-    # socket (ServiceThread in this process); the service entry gates
-    # its p50 frame latency at ``service_latency_ratio``x the
-    # in-process p50 and its utility at bit-identical — the wire
-    # protocol must never change what gets applied (docs/service.md).
-    service: bool = False
-    service_users: int = 64
-    service_events: int = 12
-    service_latency_ratio: float = 10.0
+    run: Callable[..., list[dict]]
 
 
-PRESETS: dict[str, Preset] = {
-    "small": Preset(city="beijing", scale=0.5, operations=20),
-    "medium": Preset(city="auckland", scale=0.5, operations=30),
-    "large": Preset(city="vancouver", scale=0.25, operations=40),
-    # The incremental-kernel hot path: full-size city, greedy + IEP stream
-    # only (the GAP solver's LP would dominate and measure the LP backend,
-    # not the plan kernel), pure wall-clock (tracemalloc's per-malloc hook
-    # slows vectorized numpy code ~10x and would drown the signal).
-    "kernel": Preset(
-        city="vancouver",
-        scale=1.0,
-        operations=30,
-        include_gap=False,
-        trace_memory=False,
-        kernel_strategies=("rowwise", "batched"),
-    ),
-    # Shard-parallel scaling: monolithic greedy vs the sharded solver at
-    # workers=1 and workers=N on the same partition (same shard count and
-    # seed).  Pure wall-clock for the same reason as "kernel"; the
-    # cross-entry speedup/utility gates ride on these entries (see
-    # scripts/check_bench_regression.py and docs/scaling.md).  The
-    # workload is synthetic because real cities cap at their survey
-    # population: the w4-vs-w1 speedup gate needs per-shard solve times
-    # that dwarf pool dispatch, which Vancouver (2012 users) cannot
-    # provide.  Eight shards over four workers double as load balancing —
-    # k-means shards are uneven, and two small shards per worker pack far
-    # tighter than one large one.
-    "sharded": Preset(
-        city="meetup-synthetic",
-        scale=1.0,
-        operations=0,
-        include_gap=False,
-        trace_memory=False,
-        sharded=True,
-        shards=8,
-        utility_gap_rtol=0.12,
-        synthetic=(12000, 900, 120, 8),
-    ),
-    # Million-user trajectory soak (ROADMAP open item 3): 10^5 users,
-    # 10^4 mixed operations through the batched front-end under the
-    # tiled distance backend with a 32 MiB LRU — the dense plane would
-    # be ~195 MiB, so the compression gate is what keeps the backend
-    # honest.  p50 is the enqueue fast path (queued, no flush); p99 is
-    # a flush boundary carrying a whole coalesced batch, so its budget
-    # is ~batch x the amortised per-op cost.  Too slow for CI — run
-    # locally to regenerate results/bench_baseline_scale.json.
-    "scale": Preset(
-        city="scale-synthetic",
-        scale=1.0,
-        operations=10_000,
-        include_gap=False,
-        trace_memory=False,
-        scale_users=100_000,
-        tile_cache_mib=32.0,
-        max_latency_p50_ms=10.0,
-        max_latency_p99_ms=60_000.0,
-        min_ops_per_sec=1.5,
-        max_peak_rss_mib=2048.0,
-        min_plane_compression=5.0,
-    ),
-    # WAL-overhead gate (docs/durability.md): the same seeded operation
-    # stream submitted through the in-memory platform and through the
-    # DurablePlatform (fsync'd WAL + snapshots every 32 ops); the
-    # durable entry gates its p50 submit latency at 1.5x the in-memory
-    # p50 and its utility at bit-identical.  Half-scale Vancouver so a
-    # submit is a real repair (~4ms): the gate measures the durability
-    # tax on production-shaped operations, where the per-append
-    # fdatasync is a fraction of the repair — not on toy sub-ms applies
-    # that any disk flush would dwarf.
-    "durable": Preset(
-        city="vancouver",
-        scale=0.5,
-        operations=150,
-        include_gap=False,
-        trace_memory=False,
-        durable=True,
-    ),
-    # Wire-overhead gate (docs/service.md): the same spec-deterministic
-    # tenant takes one operation per frame through the in-process
-    # batched path and through the full service request path — HTTP
-    # round trip, dispatch, single-writer queue, WAL append, flush.
-    # The throughput floor is deliberately loose (localhost RPCs on a
-    # loaded CI runner); the p50 ratio and bit-identical utility are
-    # the real gates.
-    "service": Preset(
-        city="meetup-synthetic",
-        scale=1.0,
-        operations=150,
-        include_gap=False,
-        trace_memory=False,
-        service=True,
-        min_ops_per_sec=25.0,
-    ),
-    # CI-sized soak smoke: same machinery at 10^4 users / 500 ops with
-    # a 4 MiB LRU (the 10^4-user plane is only ~20 MiB, so the cache
-    # must shrink for compression to mean anything at this size).
-    "scale-smoke": Preset(
-        city="scale-synthetic",
-        scale=1.0,
-        operations=500,
-        include_gap=False,
-        trace_memory=False,
-        scale_users=10_000,
-        tile_cache_mib=4.0,
-        max_latency_p50_ms=10.0,
-        max_latency_p99_ms=10_000.0,
-        min_ops_per_sec=8.0,
-        max_peak_rss_mib=1024.0,
-        min_plane_compression=2.0,
-    ),
-}
+# --------------------------------------------------------------------- #
+# Shared pieces: one entry shape, one timed op-stream loop
+# --------------------------------------------------------------------- #
 
 
-def _solver_entry(
-    name: str, solver, instance, seed: int, trace_memory: bool = True
+def _entry(
+    solver: str,
+    seed: int,
+    seconds: float,
+    utility: float,
+    recorder,
+    *,
+    peak_mib: float = 0.0,
+    cancelled: int = 0,
+    **extra: Any,
 ) -> dict:
-    with recording() as recorder:
-        solution, result = measure(
-            name, lambda: solver.solve(instance), trace_memory=trace_memory
-        )
+    """One report entry: the fields every entry has, plus ``extra``."""
     return {
-        "solver": name,
+        "solver": solver,
         "seed": seed,
-        "wall_time_s": result.seconds,
-        "peak_mib": result.memory_mb,
-        "utility": result.utility,
-        "cancelled": len(solution.cancelled),
+        "wall_time_s": seconds,
+        "peak_mib": peak_mib,
+        "utility": utility,
+        "cancelled": cancelled,
         "counters": dict(recorder.counters),
         "spans": recorder.snapshot()["spans"],
+        **extra,
     }
-
-
-def _iep_entry(
-    instance, seed: int, operations: int, trace_memory: bool = True
-) -> dict:
-    platform = EBSNPlatform(instance, solver=GreedySolver(seed=seed))
-    platform.publish_plans()
-    stream = OperationStream(seed=seed)
-
-    def run() -> float:
-        # Operations are drawn one at a time against the *current* state
-        # (a pre-generated batch would go stale as repairs mutate the plan).
-        for _ in range(operations):
-            operation = next(
-                iter(stream.mixed(platform.instance, platform.plan, 1))
-            )
-            platform.submit(operation)
-        return platform.audit()["utility"]
-
-    label = f"iep-mixed-{operations}"
-    with recording() as recorder:
-        _, result = measure(label, run, trace_memory=trace_memory)
-    return {
-        "solver": label,
-        "seed": seed,
-        "wall_time_s": result.seconds,
-        "peak_mib": result.memory_mb,
-        "utility": result.utility,
-        "cancelled": 0,
-        "counters": dict(recorder.counters),
-        "spans": recorder.snapshot()["spans"],
-    }
-
-
-def _kernel_strategy_entries(
-    instance, seed: int, strategies: tuple[str, ...], trace_memory: bool
-) -> list[dict]:
-    """One greedy entry per pinned kernel strategy, best-of-3 timed.
-
-    Runs are interleaved (rep-major, strategy-minor) so machine drift
-    hits every strategy equally, and each entry keeps its *fastest* rep —
-    the standard noise treatment for a ratio gate on shared runners.
-    The strategies are bit-identical by contract, so which rep's utility
-    and counters survive is immaterial; the batched entry's
-    ``equal_utility_vs`` gate enforces exactly that in CI.
-    """
-    from repro.core import kernel as kernel_mod
-
-    runs: dict[str, list[dict]] = {name: [] for name in strategies}
-    for _ in range(3):
-        for name in strategies:
-            with kernel_mod.use_kernel(name):
-                runs[name].append(
-                    _solver_entry(
-                        f"greedy-{name}",
-                        GreedySolver(seed=seed),
-                        instance,
-                        seed,
-                        trace_memory=trace_memory,
-                    )
-                )
-    entries = [
-        min(runs[name], key=lambda e: float(e["wall_time_s"]))
-        for name in strategies
-    ]
-    by_name = {entry["solver"]: entry for entry in entries}
-    if "greedy-batched" in by_name and "greedy-rowwise" in by_name:
-        batched = by_name["greedy-batched"]
-        batched["equal_utility_vs"] = {"vs": "greedy-rowwise"}
-        batched["min_speedup"] = {
-            "vs": "greedy-rowwise",
-            "factor": 2.0,
-            "min_cores": 1,
-        }
-    return entries
 
 
 def _percentile_ms(sorted_seconds: list[float], q: float) -> float:
@@ -317,19 +100,253 @@ def _percentile_ms(sorted_seconds: list[float], q: float) -> float:
     return sorted_seconds[rank] * 1000.0
 
 
-def _scale_entries(preset: Preset, seed: int) -> list[dict]:
-    """The scale-soak workload: publish, then a batched IEP stream.
+def _latency_ms(latencies: list[float]) -> dict[str, float]:
+    """p50/p90/p99 of per-op latencies (seconds in, ms out)."""
+    ordered = sorted(latencies)
+    return {
+        "p50": _percentile_ms(ordered, 0.50),
+        "p90": _percentile_ms(ordered, 0.90),
+        "p99": _percentile_ms(ordered, 0.99),
+    }
 
-    The tiled backend is pinned (this preset exists to gate it) and the
+
+def _ops_per_sec(operations: int, seconds: float) -> float:
+    return operations / seconds if seconds > 0 else 0.0
+
+
+def _clock(call: Callable[[], Any]) -> tuple[Any, float]:
+    """``(call(), wall seconds)``."""
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+def _draws(platform, seed: int, operations: int) -> Iterator:
+    """Seeded mixed operations, each drawn against the *current* state.
+
+    A pre-generated batch would go stale as repairs mutate the plan, so
+    every draw waits until the previous operation has been applied.
+    """
+    stream = OperationStream(seed=seed)
+    for _ in range(operations):
+        yield next(iter(stream.mixed(platform.instance, platform.plan, 1)))
+
+
+def _timed(
+    operations: Iterable, apply: Callable[[Any], Any]
+) -> tuple[list, list[float]]:
+    """Apply each operation, timing ``apply`` alone (draws are untimed).
+
+    Returns the applied operations and their latencies in seconds.
+    """
+    applied: list = []
+    latencies: list[float] = []
+    for operation in operations:
+        start = time.perf_counter()
+        apply(operation)
+        latencies.append(time.perf_counter() - start)
+        applied.append(operation)
+    return applied, latencies
+
+
+def _measured(
+    label: str, call: Callable[[], Any], seed: int, trace_memory: bool
+) -> tuple[Any, dict]:
+    """``call()``'s outcome and its entry, timed by :func:`measure`."""
+    with recording() as recorder:
+        outcome, result = measure(label, call, trace_memory=trace_memory)
+    return outcome, _entry(
+        label,
+        seed,
+        result.seconds,
+        result.utility,
+        recorder,
+        peak_mib=result.memory_mb,
+    )
+
+
+def _solver_entry(
+    name: str, solver, instance, seed: int, trace_memory: bool
+) -> dict:
+    solution, entry = _measured(
+        name, lambda: solver.solve(instance), seed, trace_memory
+    )
+    entry["cancelled"] = len(solution.cancelled)
+    return entry
+
+
+def _iep_entry(instance, seed: int, operations: int, trace_memory: bool) -> dict:
+    """A greedy-published platform serving a mixed IEP operation stream."""
+    platform = EBSNPlatform(instance, solver=GreedySolver(seed=seed))
+    platform.publish_plans()
+
+    def run() -> float:
+        _timed(_draws(platform, seed, operations), platform.submit)
+        return platform.audit()["utility"]
+
+    return _measured(f"iep-mixed-{operations}", run, seed, trace_memory)[1]
+
+
+def _city_instance(city: str, scale: float):
+    # Imported late: repro.datasets pulls numpy-heavy generator modules.
+    from repro.datasets import make_city
+
+    return make_city(city, scale=scale)
+
+
+# --------------------------------------------------------------------- #
+# Runners, one per workload shape
+# --------------------------------------------------------------------- #
+
+
+def _solver_suite(
+    seed: int, *, city: str, scale: float, operations: int
+) -> list[dict]:
+    """Both GEPC solvers plus an IEP operation stream, memory traced."""
+    instance = _city_instance(city, scale)
+    return [
+        _solver_entry("greedy", GreedySolver(seed=seed), instance, seed, True),
+        _solver_entry(
+            "gap", GAPBasedSolver(backend="scipy"), instance, seed, True
+        ),
+        _iep_entry(instance, seed, operations, trace_memory=True),
+    ]
+
+
+def _kernel_suite(
+    seed: int, *, city: str, scale: float, operations: int
+) -> list[dict]:
+    """Greedy under each kernel strategy, plus the IEP stream.
+
+    Scalar and batched runs are interleaved (rep-major, strategy-minor)
+    so machine drift hits both equally, and each entry keeps its
+    *fastest* of 3 reps — the standard noise treatment for a ratio gate
+    on shared runners.  The strategies are bit-identical by contract, so
+    which rep's utility and counters survive is immaterial; the batched
+    entry's ``equal_utility_vs`` gate enforces exactly that.  Pure
+    wall-clock: tracemalloc's per-malloc hook slows vectorized numpy
+    code ~10x and would drown the signal.
+    """
+    from repro.core.kernel import use_kernel
+
+    # Full Vancouver on a 2-vCPU container: scalar 4.3-5.0 s vs batched
+    # 0.33-0.42 s per rep (10-13x), so 5x keeps at least 2x headroom.
+    min_speedup = 5.0
+    instance = _city_instance(city, scale)
+    strategies = ("scalar", "batched")
+    runs: dict[str, list[dict]] = {name: [] for name in strategies}
+    for _ in range(3):
+        for name in strategies:
+            with use_kernel(name):
+                runs[name].append(
+                    _solver_entry(
+                        f"greedy-{name}",
+                        GreedySolver(seed=seed),
+                        instance,
+                        seed,
+                        trace_memory=False,
+                    )
+                )
+    scalar, batched = (
+        min(runs[name], key=lambda e: float(e["wall_time_s"]))
+        for name in strategies
+    )
+    batched["equal_utility_vs"] = {"vs": "greedy-scalar"}
+    batched["min_speedup"] = {
+        "vs": "greedy-scalar",
+        "factor": min_speedup,
+        "min_cores": 1,
+    }
+    return [
+        scalar,
+        batched,
+        _iep_entry(instance, seed, operations, trace_memory=False),
+    ]
+
+
+def _sharded(
+    seed: int, *, users: int, events: int, groups: int, clusters: int
+) -> list[dict]:
+    """greedy-mono vs sharded-w1 vs sharded-w4 on one fixed partition.
+
+    Both sharded solvers are warmed up with one unmeasured solve each, so
+    the measured runs see steady state: live pool processes (fork +
+    import cost), warmed instance planes, and the memoized partition.
+    The comparison is then pure shard *work* — slice + solve + merge —
+    which is exactly what the speedup gate is about.
+
+    ``min_cores`` is ``workers + 1``: the parent process partitions,
+    dispatches, and merges while the workers solve, so a machine with
+    exactly ``workers`` cores oversubscribes and measures contention,
+    not parallelism.
+    """
+    from repro.datasets import MeetupConfig, generate_ebsn
+    from repro.scale import ShardedSolver
+
+    shards, workers = 8, 4
+    # Allowed one-sided utility gap of the sharded entries below
+    # greedy-mono (boundary loss grows with shard count and city size).
+    utility_gap_rtol = 0.12
+    instance = generate_ebsn(
+        MeetupConfig(
+            n_users=users,
+            n_events=events,
+            n_groups=groups,
+            n_clusters=clusters,
+            seed=seed,
+        )
+    )
+    entries = [
+        _solver_entry(
+            "greedy-mono", GreedySolver(seed=seed), instance, seed, False
+        )
+    ]
+    for n in (1, workers):
+        solver = ShardedSolver(shards=shards, workers=n, seed=seed)
+        try:
+            solver.solve(instance)  # warm-up: pool + planes + partition memo
+            entry = _solver_entry(
+                f"sharded-w{n}", solver, instance, seed, False
+            )
+        finally:
+            solver.close()
+        entry["max_utility_gap_vs"] = {
+            "vs": "greedy-mono",
+            "rtol": utility_gap_rtol,
+        }
+        entries.append(entry)
+    parallel = entries[-1]
+    # Same partition, ordered merge: worker parallelism is a pure
+    # performance knob, so w4 must reproduce w1's plan bit-for-bit.
+    parallel["equal_utility_vs"] = {"vs": "sharded-w1"}
+    parallel["min_speedup"] = {
+        "vs": "sharded-w1",
+        "factor": 3.0,
+        "min_cores": workers + 1,
+    }
+    return entries
+
+
+def _scale_soak(
+    seed: int,
+    *,
+    users: int,
+    operations: int,
+    tile_cache_mib: float,
+    gates: dict,
+) -> list[dict]:
+    """Publish, then a batched IEP stream under the tiled backend.
+
+    The tiled backend is pinned (this workload exists to gate it) and the
     LRU budget comes from the preset, not the caller's environment.
     Per-operation latency is the wall time of each ``enqueue`` call:
     most ops just queue (the p50 fast path), one in ``max_pending``
     carries the coalesced flush (the p99 tail).  Throughput divides the
     whole stream — draws, queue, flushes, final drain — by the
     operation count, so it is the number capacity planning wants.
+    ``gates`` are the entry's absolute gate specs (see
+    scripts/check_bench_regression.py).
     """
-    import time
-
     from repro.bench.memory import peak_rss_mib
     from repro.core.metrics import total_utility
     from repro.core.tiles import use_distance_backend
@@ -337,29 +354,23 @@ def _scale_entries(preset: Preset, seed: int) -> list[dict]:
     from repro.scale import BatchedPlatform
 
     previous = os.environ.get("REPRO_TILE_CACHE_MIB")
-    os.environ["REPRO_TILE_CACHE_MIB"] = str(preset.tile_cache_mib)
+    os.environ["REPRO_TILE_CACHE_MIB"] = str(tile_cache_mib)
     try:
         with use_distance_backend("tiled"), recording() as recorder:
-            config = ScaleConfig(n_users=preset.scale_users, seed=seed)
-            instance = generate_scale_instance(config)
-            platform = BatchedPlatform(
-                instance, solver=GreedySolver(seed=seed)
+            instance = generate_scale_instance(
+                ScaleConfig(n_users=users, seed=seed)
             )
-            publish_start = time.perf_counter()
-            publish_utility = platform.publish_plans()
-            publish_seconds = time.perf_counter() - publish_start
-            stream = OperationStream(seed=seed)
-            latencies: list[float] = []
-            soak_start = time.perf_counter()
-            for _ in range(preset.operations):
-                operation = next(
-                    iter(stream.mixed(platform.instance, platform.plan, 1))
+            platform = BatchedPlatform(instance, solver=GreedySolver(seed=seed))
+            publish_utility, publish_seconds = _clock(platform.publish_plans)
+
+            def soak() -> list[float]:
+                _, latencies = _timed(
+                    _draws(platform, seed, operations), platform.enqueue
                 )
-                op_start = time.perf_counter()
-                platform.enqueue(operation)
-                latencies.append(time.perf_counter() - op_start)
-            platform.drain()
-            soak_seconds = time.perf_counter() - soak_start
+                platform.drain()
+                return latencies
+
+            latencies, soak_seconds = _clock(soak)
             utility = total_utility(platform.instance, platform.plan)
             plane_stats = platform.instance.distances.tile_stats()
     finally:
@@ -368,133 +379,100 @@ def _scale_entries(preset: Preset, seed: int) -> list[dict]:
         else:
             os.environ["REPRO_TILE_CACHE_MIB"] = previous
 
-    latencies.sort()
     peak_rss = peak_rss_mib()
     # Compression denominator: the backend's whole resident footprint
     # (coords + event-event block + tile high-water), not just tiles —
     # scattered row serving can materialise zero tiles.
     peak_backend = max(plane_stats["peak_backend_mib"], 1e-9)
-    entry = {
-        "solver": f"scale-soak-{preset.operations}",
-        "seed": seed,
-        "wall_time_s": soak_seconds,
-        "peak_mib": peak_rss,
-        "utility": utility,
-        "cancelled": 0,
-        "counters": dict(recorder.counters),
-        "spans": recorder.snapshot()["spans"],
-        "publish_seconds": publish_seconds,
-        "publish_utility": publish_utility,
-        "latency_ms": {
-            "p50": _percentile_ms(latencies, 0.50),
-            "p90": _percentile_ms(latencies, 0.90),
-            "p99": _percentile_ms(latencies, 0.99),
-        },
-        "ops_per_sec": (
-            preset.operations / soak_seconds if soak_seconds > 0 else 0.0
-        ),
-        "peak_rss_mib": peak_rss,
-        "plane": {
-            "dense_equiv_plane_mib": plane_stats["dense_equiv_plane_mib"],
-            "peak_resident_mib": plane_stats["peak_resident_mib"],
-            "peak_backend_mib": plane_stats["peak_backend_mib"],
-            "compression": plane_stats["dense_equiv_plane_mib"]
-            / peak_backend,
-        },
-        # Gate specs ride with the entry (baseline-declared, applied to
-        # the fresh report's values by check_bench_regression.py).
-        "max_latency_ms": {
-            "p50": preset.max_latency_p50_ms,
-            "p99": preset.max_latency_p99_ms,
-        },
-        "min_ops_per_sec": preset.min_ops_per_sec,
-        "max_peak_rss_mib": preset.max_peak_rss_mib,
-        "min_plane_compression": {"factor": preset.min_plane_compression},
-    }
-    return [entry]
+    return [
+        _entry(
+            f"scale-soak-{operations}",
+            seed,
+            soak_seconds,
+            utility,
+            recorder,
+            peak_mib=peak_rss,
+            publish_seconds=publish_seconds,
+            publish_utility=publish_utility,
+            latency_ms=_latency_ms(latencies),
+            ops_per_sec=_ops_per_sec(operations, soak_seconds),
+            peak_rss_mib=peak_rss,
+            plane={
+                "dense_equiv_plane_mib": plane_stats["dense_equiv_plane_mib"],
+                "peak_resident_mib": plane_stats["peak_resident_mib"],
+                "peak_backend_mib": plane_stats["peak_backend_mib"],
+                "compression": plane_stats["dense_equiv_plane_mib"]
+                / peak_backend,
+            },
+            **gates,
+        )
+    ]
 
 
-def _durable_entries(instance, preset: Preset, seed: int) -> list[dict]:
+def _durable(
+    seed: int, *, city: str, scale: float, operations: int
+) -> list[dict]:
     """In-memory vs durable submit latency on one seeded stream.
 
     Both platforms publish the same plan (same solver seed) and then
     submit the identical operation sequence — drawn once per step
-    against the in-memory platform's state; the states evolve in
-    lockstep because the engine is deterministic and both sides accept
-    or reject the same operations.  The durable side runs with real
-    fsyncs and its default snapshot cadence: the gated number is the
-    full durability tax, not a best case.  Per-op latency is each
-    ``submit`` call's wall time (rejected submissions time the
-    validate-and-refuse path on both sides alike).
+    against each platform's own state; the states evolve in lockstep
+    because the engine is deterministic and both sides accept or reject
+    the same operations.  The durable side runs with real fsyncs and its
+    default snapshot cadence: the gated number is the full durability
+    tax, not a best case.  Per-op latency is each ``submit`` call's wall
+    time (rejected submissions time the validate-and-refuse path on both
+    sides alike).
     """
-    import tempfile
-    import time
-
     from repro.platform import DurablePlatform
 
-    def run(make_platform, label: str) -> dict:
-        platform = make_platform()
-        stream = OperationStream(seed=seed)
+    # The WAL + snapshot tax allowed on the submit median.
+    latency_ratio = 1.5
+    instance = _city_instance(city, scale)
+
+    def run(platform, label: str) -> dict:
+        def submit(operation) -> None:
+            try:
+                platform.submit(operation)
+            except (ValueError, IndexError, KeyError):
+                pass
+
         start = time.perf_counter()
         platform.publish_plans()
-        latencies: list[float] = []
         with recording() as recorder:
-            for _ in range(preset.operations):
-                operation = next(
-                    iter(stream.mixed(platform.instance, platform.plan, 1))
-                )
-                op_start = time.perf_counter()
-                try:
-                    platform.submit(operation)
-                except (ValueError, IndexError, KeyError):
-                    pass
-                latencies.append(time.perf_counter() - op_start)
+            _, latencies = _timed(_draws(platform, seed, operations), submit)
         seconds = time.perf_counter() - start
         utility = platform.audit()["utility"]
         if hasattr(platform, "close"):
             platform.close()
-        latencies.sort()
-        return {
-            "solver": label,
-            "seed": seed,
-            "wall_time_s": seconds,
-            "peak_mib": 0.0,
-            "utility": utility,
-            "cancelled": 0,
-            "counters": dict(recorder.counters),
-            "spans": recorder.snapshot()["spans"],
-            "latency_ms": {
-                "p50": _percentile_ms(latencies, 0.50),
-                "p90": _percentile_ms(latencies, 0.90),
-                "p99": _percentile_ms(latencies, 0.99),
-            },
-        }
-
-    label = f"submit-memory-{preset.operations}"
-    memory_entry = run(
-        lambda: EBSNPlatform(instance, solver=GreedySolver(seed=seed)),
-        label,
-    )
-    with tempfile.TemporaryDirectory(prefix="bench-durable-") as state_dir:
-        durable_entry = run(
-            lambda: DurablePlatform(
-                instance, state_dir, solver=GreedySolver(seed=seed)
-            ),
-            f"submit-durable-{preset.operations}",
+        return _entry(
+            label,
+            seed,
+            seconds,
+            utility,
+            recorder,
+            latency_ms=_latency_ms(latencies),
         )
-    # Gate specs ride with the entry (baseline-declared): the WAL +
-    # snapshot tax on the submit median, and bit-identical utility —
-    # durability must never change what gets applied.
-    durable_entry["max_latency_ratio_vs"] = {
+
+    label = f"submit-memory-{operations}"
+    memory = run(EBSNPlatform(instance, solver=GreedySolver(seed=seed)), label)
+    with tempfile.TemporaryDirectory(prefix="bench-durable-") as state_dir:
+        durable = run(
+            DurablePlatform(instance, state_dir, solver=GreedySolver(seed=seed)),
+            f"submit-durable-{operations}",
+        )
+    # Durability must never change what gets applied: bit-identical
+    # utility, and the WAL tax bounded on the submit median.
+    durable["max_latency_ratio_vs"] = {
         "vs": label,
         "quantile": "p50",
-        "factor": preset.durable_latency_ratio,
+        "factor": latency_ratio,
     }
-    durable_entry["equal_utility_vs"] = {"vs": label}
-    return [memory_entry, durable_entry]
+    durable["equal_utility_vs"] = {"vs": label}
+    return [memory, durable]
 
 
-def _service_entries(preset: Preset, seed: int) -> list[dict]:
+def _service(seed: int, *, operations: int) -> list[dict]:
     """In-process batched submits vs the same frames over the socket.
 
     Both sides host the identical spec-deterministic tenant (same
@@ -507,316 +485,181 @@ def _service_entries(preset: Preset, seed: int) -> list[dict]:
     single-writer queue, WAL append (fsync off, the
     :class:`repro.service.ServiceThread` default), and batch flush —
     which is the per-frame tax docs/service.md quotes.  Throughput
-    excludes publish on both sides, mirroring ``_scale_entries``.
+    excludes publish on both sides, mirroring the scale soak.
     """
-    import tempfile
-    import time
-
     from repro.scale import BatchedPlatform
     from repro.service import ServiceClient, ServiceThread
     from repro.service.tenants import TenantSpec
 
-    spec = TenantSpec(
-        name="bench",
-        users=preset.service_users,
-        events=preset.service_events,
-        seed=seed,
-    )
-    operations: list = []
+    # The p50 wire tax and the throughput floor are deliberately loose
+    # (localhost RPCs on a loaded CI runner); the bit-identical utility
+    # is the real gate.
+    latency_ratio = 10.0
+    min_ops_per_sec = 25.0
+    spec = TenantSpec(name="bench", users=64, events=12, seed=seed)
 
-    inproc_label = f"submit-inproc-{preset.operations}"
+    inproc_label = f"submit-inproc-{operations}"
     with recording() as recorder:
         platform = BatchedPlatform(
             spec.build_instance(), solver=spec.build_solver()
         )
-        publish_start = time.perf_counter()
-        publish_utility = platform.publish_plans()
-        publish_seconds = time.perf_counter() - publish_start
-        stream = OperationStream(seed=seed)
-        latencies: list[float] = []
-        soak_start = time.perf_counter()
-        for _ in range(preset.operations):
-            operation = next(
-                iter(stream.mixed(platform.instance, platform.plan, 1))
-            )
-            operations.append(operation)
-            op_start = time.perf_counter()
+        publish_utility, publish_seconds = _clock(platform.publish_plans)
+
+        def apply(operation) -> None:
             platform.enqueue(operation)
             platform.flush()
-            latencies.append(time.perf_counter() - op_start)
-        soak_seconds = time.perf_counter() - soak_start
+
+        (drawn, latencies), seconds = _clock(
+            lambda: _timed(_draws(platform, seed, operations), apply)
+        )
         utility = platform.snapshot()["utility"]
         platform.close()
-    latencies.sort()
-    inproc_entry = {
-        "solver": inproc_label,
-        "seed": seed,
-        "wall_time_s": soak_seconds,
-        "peak_mib": 0.0,
-        "utility": utility,
-        "cancelled": 0,
-        "counters": dict(recorder.counters),
-        "spans": recorder.snapshot()["spans"],
-        "publish_seconds": publish_seconds,
-        "publish_utility": publish_utility,
-        "latency_ms": {
-            "p50": _percentile_ms(latencies, 0.50),
-            "p90": _percentile_ms(latencies, 0.90),
-            "p99": _percentile_ms(latencies, 0.99),
-        },
-        "ops_per_sec": (
-            preset.operations / soak_seconds if soak_seconds > 0 else 0.0
-        ),
-    }
+    inproc = _entry(
+        inproc_label,
+        seed,
+        seconds,
+        utility,
+        recorder,
+        publish_seconds=publish_seconds,
+        publish_utility=publish_utility,
+        latency_ms=_latency_ms(latencies),
+        ops_per_sec=_ops_per_sec(operations, seconds),
+    )
 
-    service_label = f"submit-service-{preset.operations}"
     with tempfile.TemporaryDirectory(prefix="bench-service-") as root:
         with recording() as recorder, ServiceThread(root) as service:
             with ServiceClient(service.host, service.port) as client:
                 client.create_tenant(spec.to_dict())
-                publish_start = time.perf_counter()
-                publish_utility = client.publish(spec.name)
-                publish_seconds = time.perf_counter() - publish_start
-                latencies = []
-                soak_start = time.perf_counter()
-                for operation in operations:
-                    op_start = time.perf_counter()
-                    client.submit(spec.name, [operation])
-                    latencies.append(time.perf_counter() - op_start)
-                soak_seconds = time.perf_counter() - soak_start
+                publish_utility, publish_seconds = _clock(
+                    lambda: client.publish(spec.name)
+                )
+                (_, latencies), seconds = _clock(
+                    lambda: _timed(
+                        drawn, lambda op: client.submit(spec.name, [op])
+                    )
+                )
                 served = client.summary(spec.name)["audit"]["utility"]
-    latencies.sort()
-    service_entry = {
-        "solver": service_label,
-        "seed": seed,
-        "wall_time_s": soak_seconds,
-        "peak_mib": 0.0,
-        "utility": served,
-        "cancelled": 0,
-        "counters": dict(recorder.counters),
-        "spans": recorder.snapshot()["spans"],
-        "publish_seconds": publish_seconds,
-        "publish_utility": publish_utility,
-        "latency_ms": {
-            "p50": _percentile_ms(latencies, 0.50),
-            "p90": _percentile_ms(latencies, 0.90),
-            "p99": _percentile_ms(latencies, 0.99),
-        },
-        "ops_per_sec": (
-            preset.operations / soak_seconds if soak_seconds > 0 else 0.0
-        ),
-        # Gate specs ride with the entry (baseline-declared): the wire
-        # tax on the frame median, a throughput floor, and bit-identical
-        # utility — serving over a socket must never change the plan.
-        "max_latency_ratio_vs": {
+    service_entry = _entry(
+        f"submit-service-{operations}",
+        seed,
+        seconds,
+        served,
+        recorder,
+        publish_seconds=publish_seconds,
+        publish_utility=publish_utility,
+        latency_ms=_latency_ms(latencies),
+        ops_per_sec=_ops_per_sec(operations, seconds),
+        # Serving over a socket must never change the plan.
+        max_latency_ratio_vs={
             "vs": inproc_label,
             "quantile": "p50",
-            "factor": preset.service_latency_ratio,
+            "factor": latency_ratio,
         },
-        "equal_utility_vs": {"vs": inproc_label},
-        "min_ops_per_sec": preset.min_ops_per_sec,
-    }
-    return [inproc_entry, service_entry]
+        equal_utility_vs={"vs": inproc_label},
+        min_ops_per_sec=min_ops_per_sec,
+    )
+    return [inproc, service_entry]
 
 
-def _sharded_entries(
-    instance,
-    seed: int,
-    shards: int,
-    workers: int,
-    trace_memory: bool,
-    utility_gap_rtol: float = 0.02,
-) -> list[dict]:
-    """greedy-mono vs sharded-w1 vs sharded-wN on one fixed partition.
-
-    Both sharded solvers are warmed up with one unmeasured solve each, so
-    the measured runs see steady state: live pool processes (fork +
-    import cost), warmed instance planes, and the memoized partition.
-    The comparison is then pure shard *work* — slice + solve + merge —
-    which is exactly what the speedup gate is about.  The cross-entry
-    gate specs (``min_speedup``, ``max_utility_gap_vs``,
-    ``equal_utility_vs``) are emitted with the entries so a regenerated
-    baseline keeps its gates.
-
-    ``min_cores`` is ``workers + 1``: the parent process partitions,
-    dispatches, and merges while the workers solve, so a machine with
-    exactly ``workers`` cores oversubscribes and measures contention,
-    not parallelism.
-    """
-    from repro.core.gepc import GreedySolver
-    from repro.scale import ShardedSolver
-
-    entries = [
-        _solver_entry(
-            "greedy-mono",
-            GreedySolver(seed=seed),
-            instance,
-            seed,
-            trace_memory=trace_memory,
-        )
-    ]
-    w1_solver = ShardedSolver(shards=shards, workers=1, seed=seed)
-    try:
-        w1_solver.solve(instance)  # warm-up: planes + partition memo
-        serial = _solver_entry(
-            "sharded-w1",
-            w1_solver,
-            instance,
-            seed,
-            trace_memory=trace_memory,
-        )
-    finally:
-        w1_solver.close()
-    serial["max_utility_gap_vs"] = {
-        "vs": "greedy-mono",
-        "rtol": utility_gap_rtol,
-    }
-    entries.append(serial)
-
-    solver = ShardedSolver(shards=shards, workers=workers, seed=seed)
-    try:
-        solver.solve(instance)  # warm-up: pool + planes + partition memo
-        parallel = _solver_entry(
-            f"sharded-w{workers}",
-            solver,
-            instance,
-            seed,
-            trace_memory=trace_memory,
-        )
-    finally:
-        solver.close()
-    parallel["max_utility_gap_vs"] = {
-        "vs": "greedy-mono",
-        "rtol": utility_gap_rtol,
-    }
-    # Same partition, ordered merge: worker parallelism is a pure
-    # performance knob, so w4 must reproduce w1's plan bit-for-bit.
-    parallel["equal_utility_vs"] = {"vs": "sharded-w1"}
-    parallel["min_speedup"] = {
-        "vs": "sharded-w1",
-        "factor": 3.0,
-        "min_cores": workers + 1,
-    }
-    entries.append(parallel)
-    return entries
+def _on_city(city: str, scale: float, runner, **params: Any) -> Workload:
+    """A workload on ``make_city(city, scale)``; the runner builds it."""
+    run = partial(runner, city=city, scale=scale, **params)
+    return Workload(city, scale, run)
 
 
-def build_report(
-    preset_name: str, seed: int = 0, shards: int = 0, workers: int = 4
-) -> dict:
+PRESETS: dict[str, Workload] = {
+    "small": _on_city("beijing", 0.5, _solver_suite, operations=20),
+    # The incremental-kernel hot path: full-size city, greedy + IEP stream
+    # only (the GAP solver's LP would dominate and measure the LP backend,
+    # not the plan kernel).
+    "kernel": _on_city("vancouver", 1.0, _kernel_suite, operations=30),
+    # Shard-parallel scaling (docs/scaling.md).  The workload is
+    # synthetic because real cities cap at their survey population: the
+    # w4-vs-w1 speedup gate needs per-shard solve times that dwarf pool
+    # dispatch, which Vancouver (2012 users) cannot provide.  Eight
+    # shards over four workers double as load balancing — k-means shards
+    # are uneven, and two small shards per worker pack far tighter than
+    # one large one.
+    "sharded": Workload(
+        "meetup-synthetic",
+        1.0,
+        partial(_sharded, users=12000, events=900, groups=120, clusters=8),
+    ),
+    # Trajectory soak: 10^5 users, 10^4 mixed operations through the
+    # batched front-end under the tiled distance backend with a 32 MiB
+    # LRU — the dense plane would be ~195 MiB, so the compression gate is
+    # what keeps the backend honest.  p50 is the enqueue fast path
+    # (queued, no flush); p99 is a flush boundary carrying a whole
+    # coalesced batch, so its budget is ~batch x the amortised per-op
+    # cost.  Too slow for CI — run locally to regenerate
+    # results/bench_baseline_scale.json.
+    "scale": Workload(
+        "scale-synthetic",
+        1.0,
+        partial(
+            _scale_soak,
+            users=100_000,
+            operations=10_000,
+            tile_cache_mib=32.0,
+            gates={
+                "max_latency_ms": {"p50": 10.0, "p99": 60_000.0},
+                "min_ops_per_sec": 1.5,
+                "max_peak_rss_mib": 2048.0,
+                "min_plane_compression": {"factor": 5.0},
+            },
+        ),
+    ),
+    # CI-sized soak smoke: same machinery at 10^4 users / 500 ops with
+    # a 4 MiB LRU (the 10^4-user plane is only ~20 MiB, so the cache
+    # must shrink for compression to mean anything at this size).
+    "scale-smoke": Workload(
+        "scale-synthetic",
+        1.0,
+        partial(
+            _scale_soak,
+            users=10_000,
+            operations=500,
+            tile_cache_mib=4.0,
+            gates={
+                "max_latency_ms": {"p50": 10.0, "p99": 10_000.0},
+                "min_ops_per_sec": 8.0,
+                "max_peak_rss_mib": 1024.0,
+                "min_plane_compression": {"factor": 2.0},
+            },
+        ),
+    ),
+    # WAL-overhead gate (docs/durability.md).  Half-scale Vancouver so a
+    # submit is a real repair (~4ms): the gate measures the durability
+    # tax on production-shaped operations, where the per-append
+    # fdatasync is a fraction of the repair — not on toy sub-ms applies
+    # that any disk flush would dwarf.
+    "durable": _on_city("vancouver", 0.5, _durable, operations=150),
+    # Wire-overhead gate (docs/service.md).
+    "service": Workload(
+        "meetup-synthetic", 1.0, partial(_service, operations=150)
+    ),
+}
+
+
+def build_report(preset_name: str, seed: int = 0) -> dict:
     """Run the preset workload and return the report document."""
     try:
-        preset = PRESETS[preset_name]
+        workload = PRESETS[preset_name]
     except KeyError:
         raise ValueError(
             f"unknown preset {preset_name!r}; choose from {sorted(PRESETS)}"
         ) from None
-    # Imported late: repro.datasets pulls numpy-heavy generator modules.
-    from repro.datasets import MeetupConfig, generate_ebsn, make_city
-
-    if preset.scale_users:
-        return {
-            "schema": SCHEMA,
-            "schema_version": SCHEMA_VERSION,
-            "preset": preset_name,
-            "city": preset.city,
-            "scale": preset.scale,
-            "seed": seed,
-            "cpu_count": os.cpu_count() or 1,
-            "entries": _scale_entries(preset, seed),
-        }
-    if preset.service:
-        return {
-            "schema": SCHEMA,
-            "schema_version": SCHEMA_VERSION,
-            "preset": preset_name,
-            "city": preset.city,
-            "scale": preset.scale,
-            "seed": seed,
-            "cpu_count": os.cpu_count() or 1,
-            "entries": _service_entries(preset, seed),
-        }
-    if preset.synthetic is not None:
-        n_users, n_events, n_groups, n_clusters = preset.synthetic
-        instance = generate_ebsn(
-            MeetupConfig(
-                n_users=n_users,
-                n_events=n_events,
-                n_groups=n_groups,
-                n_clusters=n_clusters,
-                seed=seed,
-            )
-        )
-    else:
-        instance = make_city(preset.city, scale=preset.scale)
-    if preset.durable:
-        return {
-            "schema": SCHEMA,
-            "schema_version": SCHEMA_VERSION,
-            "preset": preset_name,
-            "city": preset.city,
-            "scale": preset.scale,
-            "seed": seed,
-            "cpu_count": os.cpu_count() or 1,
-            "entries": _durable_entries(instance, preset, seed),
-        }
-    if preset.sharded:
-        entries = _sharded_entries(
-            instance,
-            seed,
-            shards=shards or preset.shards,
-            workers=workers,
-            trace_memory=preset.trace_memory,
-            utility_gap_rtol=preset.utility_gap_rtol,
-        )
-    else:
-        entries = [
-            _solver_entry(
-                "greedy",
-                GreedySolver(seed=seed),
-                instance,
-                seed,
-                trace_memory=preset.trace_memory,
-            ),
-        ]
-        if preset.kernel_strategies:
-            entries.extend(
-                _kernel_strategy_entries(
-                    instance,
-                    seed,
-                    preset.kernel_strategies,
-                    trace_memory=preset.trace_memory,
-                )
-            )
-        if preset.include_gap:
-            entries.append(
-                _solver_entry(
-                    "gap",
-                    GAPBasedSolver(backend="scipy"),
-                    instance,
-                    seed,
-                    trace_memory=preset.trace_memory,
-                )
-            )
-        entries.append(
-            _iep_entry(
-                instance,
-                seed,
-                preset.operations,
-                trace_memory=preset.trace_memory,
-            )
-        )
     return {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
         "preset": preset_name,
-        "city": preset.city,
-        "scale": preset.scale,
+        "city": workload.city,
+        "scale": workload.scale,
         "seed": seed,
         # The machine's core count; cross-entry speedup gates only apply
         # when the measuring machine has enough cores to show parallelism.
         "cpu_count": os.cpu_count() or 1,
-        "entries": entries,
+        "entries": workload.run(seed),
     }
 
 
@@ -830,24 +673,14 @@ def write_report(report: dict, path: str | Path) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.report",
-        description="Emit the BENCH_REPORT.json document CI diffs.",
+        description="Emit the bench report document CI diffs.",
     )
     parser.add_argument("--preset", default="small", choices=sorted(PRESETS))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="bench_report.json")
-    parser.add_argument(
-        "--shards", type=int, default=0,
-        help="shard count for sharded presets (0: the preset's default)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4,
-        help="parallel worker count for sharded presets (default 4)",
-    )
     args = parser.parse_args(argv)
 
-    report = build_report(
-        args.preset, seed=args.seed, shards=args.shards, workers=args.workers
-    )
+    report = build_report(args.preset, seed=args.seed)
     path = write_report(report, args.out)
     print(
         format_table(

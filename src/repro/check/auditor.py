@@ -125,83 +125,66 @@ class InvariantAuditor:
         obs.count("check.audit.mismatches", len(report.mismatches))
         return report
 
-    def audit_kernel_strategies(
-        self,
-        plan: GlobalPlan,
-        users: Sequence[int] | None = None,
-        strategies: Sequence[str] | None = None,
-    ) -> AuditReport:
-        """Cross-audit every registered kernel strategy on ``plan``.
+    def audit_kernel_strategies(self, plan: GlobalPlan) -> AuditReport:
+        """Cross-audit the batched kernel against the scalar oracle.
 
-        The strategy contract is *bit-identity*, not closeness: for each
-        audited user, every strategy's ``row`` — and every vectorized
-        strategy's ``block`` — must reproduce the scalar reference's
-        insertion deltas and feasibility mask exactly.  This is what
-        makes ``REPRO_KERNEL`` a pure performance knob.
+        The strategy contract is *bit-identity*, not closeness: for every
+        user, batched ``row`` and ``block`` must reproduce the scalar
+        reference's insertion deltas and feasibility mask exactly.  This
+        is what makes ``REPRO_KERNEL`` a pure performance knob.
         """
         from repro.core import kernel as kernel_mod
 
         report = AuditReport()
-        names = (
-            list(strategies)
-            if strategies is not None
-            else kernel_mod.available_strategies()
-        )
-        user_ids = (
-            list(range(plan.instance.n_users)) if users is None else list(users)
-        )
+        user_ids = list(range(plan.instance.n_users))
         reference = kernel_mod.resolve_strategy("scalar")
         expected = {user: reference.row(plan, user) for user in user_ids}
         user_array = np.asarray(user_ids, dtype=np.intp)
-        for name in names:
-            strategy = kernel_mod.resolve_strategy(name)
-            for user in user_ids:
-                deltas, mask = strategy.row(plan, user)
-                ref_deltas, ref_mask = expected[user]
-                report.checks += 2
-                if not np.array_equal(deltas, ref_deltas):
-                    worst = int(np.abs(deltas - ref_deltas).argmax())
-                    report.mismatches.append(
-                        CacheMismatch(
-                            kind="kernel_strategy_deltas",
-                            cached=float(deltas[worst]),
-                            expected=float(ref_deltas[worst]),
-                            user=user,
-                            event=worst,
-                            detail=f"strategy {name!r} row != scalar row",
-                        )
+        batched = kernel_mod.resolve_strategy("batched")
+        for user in user_ids:
+            deltas, mask = batched.row(plan, user)
+            ref_deltas, ref_mask = expected[user]
+            report.checks += 2
+            if not np.array_equal(deltas, ref_deltas):
+                worst = int(np.abs(deltas - ref_deltas).argmax())
+                report.mismatches.append(
+                    CacheMismatch(
+                        kind="kernel_strategy_deltas",
+                        cached=float(deltas[worst]),
+                        expected=float(ref_deltas[worst]),
+                        user=user,
+                        event=worst,
+                        detail="batched row != scalar row",
                     )
-                if not np.array_equal(mask, ref_mask):
-                    bad = np.flatnonzero(mask != ref_mask).tolist()
-                    report.mismatches.append(
-                        CacheMismatch(
-                            kind="kernel_strategy_mask",
-                            cached=bool(mask[bad[0]]),
-                            expected=bool(ref_mask[bad[0]]),
-                            user=user,
-                            event=bad[0],
-                            detail=(
-                                f"strategy {name!r} mask != scalar mask "
-                                f"at events {bad[:5]}"
-                            ),
-                        )
+                )
+            if not np.array_equal(mask, ref_mask):
+                bad = np.flatnonzero(mask != ref_mask).tolist()
+                report.mismatches.append(
+                    CacheMismatch(
+                        kind="kernel_strategy_mask",
+                        cached=bool(mask[bad[0]]),
+                        expected=bool(ref_mask[bad[0]]),
+                        user=user,
+                        event=bad[0],
+                        detail=f"batched mask != scalar mask at events {bad[:5]}",
                     )
-            block_deltas, block_mask = strategy.block(plan, user_array)
-            for k, user in enumerate(user_ids):
-                ref_deltas, ref_mask = expected[user]
-                report.checks += 1
-                if not np.array_equal(
-                    block_deltas[k], ref_deltas
-                ) or not np.array_equal(block_mask[k], ref_mask):
-                    report.mismatches.append(
-                        CacheMismatch(
-                            kind="kernel_strategy_block",
-                            cached="<block row>",
-                            expected="<scalar row>",
-                            user=user,
-                            detail=f"strategy {name!r} block row diverged",
-                        )
+                )
+        block_deltas, block_mask = batched.block(plan, user_array)
+        for k, user in enumerate(user_ids):
+            ref_deltas, ref_mask = expected[user]
+            report.checks += 1
+            if not np.array_equal(
+                block_deltas[k], ref_deltas
+            ) or not np.array_equal(block_mask[k], ref_mask):
+                report.mismatches.append(
+                    CacheMismatch(
+                        kind="kernel_strategy_block",
+                        cached="<block row>",
+                        expected="<scalar row>",
+                        user=user,
+                        detail="batched block row diverged",
                     )
+                )
         obs = get_recorder()
         obs.count("check.audit.kernel_strategy_checks", report.checks)
         obs.count("check.audit.mismatches", len(report.mismatches))

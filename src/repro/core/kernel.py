@@ -3,25 +3,23 @@
 :class:`~repro.core.plan.GlobalPlan` caches, per user, the pair
 ``(insertion_deltas, feasible_mask)`` its solvers' inner loops run on.
 This module owns the *math* that produces those rows, behind a strategy
-interface so the same cache can be filled three interchangeable ways:
+interface so the same cache can be filled two interchangeable ways:
 
 ``batched`` (default)
     One vectorized user×event pass: :meth:`KernelStrategy.block` computes
     the delta matrix and feasibility mask for a whole batch of users at
     once (chunked so the ``batch × plan-length × events`` intermediate
-    stays small).  Single rows reuse the rowwise math.
-``rowwise``
-    The PR-2 per-user vectorized row (``DistanceMatrix`` row slices +
-    ``searchsorted`` splice positions) — the reference numpy path.
+    stays small).  Single rows are one vectorized pass over
+    ``DistanceMatrix`` row slices with ``searchsorted`` splice positions.
 ``scalar``
     Pure-python per-event splice arithmetic — slow by design, the ground
-    truth the vectorized strategies are audited and fuzzed against.
+    truth the batched strategy is audited and fuzzed against.
 
-All strategies are **bit-identical**: every elementwise float operation is
-performed in the same order, so deltas compare equal with ``==`` and the
-masks match exactly.  ``repro.check`` enforces this
+Both strategies are **bit-identical**: every elementwise float operation
+is performed in the same order, so deltas compare equal with ``==`` and
+the masks match exactly.  ``repro.check`` enforces this
 (:meth:`InvariantAuditor.audit_kernel_strategies`, the differential
-fuzzer) and CI pins each strategy via the ``REPRO_KERNEL`` env flag.
+fuzzer) and CI pins the scalar oracle via the ``REPRO_KERNEL`` env flag.
 
 Strategies read plan internals (``_plans``, ``_blocked_row``,
 ``_route_costs``) by design — this module is the plan's kernel, split out
@@ -42,7 +40,7 @@ from repro.obs import get_recorder
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.plan import GlobalPlan
 
-#: Environment flag CI pins per matrix leg: ``batched|rowwise|scalar``.
+#: Environment flag selecting the strategy: ``batched|scalar``.
 ENV_VAR = "REPRO_KERNEL"
 
 #: Strategy used when ``REPRO_KERNEL`` is unset.
@@ -85,7 +83,7 @@ class KernelStrategy:
 def _row_mask(
     plan: "GlobalPlan", user: int, deltas: np.ndarray
 ) -> np.ndarray:
-    """Feasibility mask from a finished delta row (shared numpy epilogue)."""
+    """Feasibility mask from a finished delta row (the single-row epilogue)."""
     instance = plan.instance
     mask = instance.utility[user] > 0.0
     mask &= plan._blocked_row(user) == 0
@@ -128,10 +126,24 @@ class ScalarKernel(KernelStrategy):
         return deltas, mask
 
 
-class RowwiseKernel(KernelStrategy):
-    """Per-user vectorized row over ``DistanceMatrix`` slices (PR-2 path)."""
+class BatchedKernel(KernelStrategy):
+    """Vectorized rows and a fully batched user×event block pass.
 
-    name = "rowwise"
+    A single row slices the user's ``DistanceMatrix`` row and finds every
+    candidate's splice position with one ``searchsorted``.  The block path
+    computes every busy user's splice positions in one
+    ``plan_starts <= starts`` comparison (inf-padded to the chunk's longest
+    plan), then evaluates the first/middle/last splice branches as whole
+    matrices.  Operation order matches the single row element for element,
+    so the results are bit-identical.
+    """
+
+    name = "batched"
+
+    vectorized_block = True
+
+    #: Users per chunk — bounds the ``chunk × kmax × events`` intermediate.
+    chunk_size = 256
 
     def row(
         self, plan: "GlobalPlan", user: int
@@ -162,24 +174,6 @@ class RowwiseKernel(KernelStrategy):
                 positions == 0, first, np.where(positions == k, last, middle)
             ) + fees
         return deltas, _row_mask(plan, user, deltas)
-
-
-class BatchedKernel(RowwiseKernel):
-    """Fully batched user×event pass; single rows reuse the rowwise math.
-
-    The block path computes every busy user's splice positions in one
-    ``plan_starts <= starts`` comparison (inf-padded to the chunk's longest
-    plan), then evaluates the first/middle/last splice branches as whole
-    matrices.  Operation order matches the rowwise row element for element,
-    so the results are bit-identical.
-    """
-
-    name = "batched"
-
-    vectorized_block = True
-
-    #: Users per chunk — bounds the ``chunk × kmax × events`` intermediate.
-    chunk_size = 256
 
     def block(
         self, plan: "GlobalPlan", users: np.ndarray
@@ -256,8 +250,8 @@ class BatchedKernel(RowwiseKernel):
             plan_starts[i, : len(events)] = starts[events]
         # positions[i, j] = searchsorted(plan_starts_i, starts_j, "right"):
         # how many of user i's plan starts are <= candidate j's start.  The
-        # inf padding never counts, so padded rows agree with the rowwise
-        # searchsorted over the unpadded plan.
+        # inf padding never counts, so padded rows agree with the single
+        # row's searchsorted over the unpadded plan.
         positions = (plan_starts[:, :, None] <= starts[None, None, :]).sum(
             axis=1
         )
@@ -380,27 +374,20 @@ class SplicePlanes:
 
 
 # --------------------------------------------------------------------- #
-# Registry and selection
+# Selection
 # --------------------------------------------------------------------- #
 
-_STRATEGIES: dict[str, KernelStrategy] = {}
+_STRATEGIES: dict[str, KernelStrategy] = {
+    "batched": BatchedKernel(),
+    "scalar": ScalarKernel(),
+}
 _ACTIVE: KernelStrategy | None = None  # guarded-by: _ACTIVE_LOCK
 _ACTIVE_LOCK = threading.Lock()
 
 
-def register_strategy(strategy: KernelStrategy) -> KernelStrategy:
-    _STRATEGIES[strategy.name] = strategy
-    return strategy
-
-
-register_strategy(ScalarKernel())
-register_strategy(RowwiseKernel())
-register_strategy(BatchedKernel())
-
-
 def available_strategies() -> tuple[str, ...]:
-    """Registered strategy names."""
-    return tuple(sorted(_STRATEGIES))
+    """Selectable strategy names."""
+    return tuple(_STRATEGIES)
 
 
 def resolve_strategy(name: str) -> KernelStrategy:
