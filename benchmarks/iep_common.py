@@ -52,8 +52,8 @@ class IEPAverages:
 
 
 def run_incremental(kind, instance, plan, reps, seed=0) -> IEPAverages:
-    """Apply ``reps`` random operations of ``kind`` incrementally, each from
-    the original plan, and average the measurements."""
+    """Apply ``reps`` random operations of ``kind`` incrementally, each to a
+    fresh copy of the original plan, and average the measurements."""
     stream = OperationStream(seed=seed)
     engine = IEPEngine()
     utilities, times, memories, difs, operations = [], [], [], [], []
@@ -63,8 +63,12 @@ def run_incremental(kind, instance, plan, reps, seed=0) -> IEPAverages:
         operation = draw_operation(kind, stream, instance, plan)
         if operation is None:
             continue
+        # Copy outside the measured call: the paper times the repair,
+        # not an O(n * m) snapshot of the state it starts from.
+        copy = instance.copy()
+        start = plan.rebound_to(copy)
         result, seconds, memory = timed_memory_call(
-            lambda op=operation: engine.apply(instance, plan, op)
+            lambda op=operation: engine.apply_in_place(copy, start, op)
         )
         assert not check_plan(result.instance, result.plan), operation
         operations.append(operation)

@@ -48,7 +48,7 @@ class RerunBaseline:
         """Apply ``operation`` by re-solving GEPC from scratch."""
         obs = get_recorder()
         operation.validate(instance)
-        new_instance = operation.apply_to_instance(instance)
+        new_instance = operation.apply_to_instance(instance.copy())
         with obs.span("rerun.resolve"):
             solution = self._solver.solve(new_instance)
         return RerunOutcome(

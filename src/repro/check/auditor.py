@@ -11,10 +11,10 @@ quantity from the raw problem data and diffs it against the live caches:
 * cached **kernel rows** (``insertion_deltas``/``feasible_mask``) vs. the
   scalar splice and feasibility definitions,
 * the instance's **patched caches** (distances, conflicts, starts, fees)
-  vs. a from-scratch :meth:`Instance.rebuilt` — this is what validates the
-  shared-cache identity rules of ``with_event``/``with_user``/
-  ``with_utility``/``with_new_event``: an illegally shared or mis-patched
-  cache diverges from the rebuild and is reported.
+  vs. a from-scratch :meth:`Instance.rebuilt` — this is
+  what validates the in-place patches of ``set_event``/``set_budget``/
+  ``set_utility``/``append_event`` and their undo: a mis-patched cache
+  diverges from the rebuild and is reported.
 
 Every divergence is a structured :class:`CacheMismatch`; the auditor never
 raises on its own (callers — shadow mode, the fuzzer, tests — decide).
@@ -108,7 +108,7 @@ class InvariantAuditor:
 
         ``include_instance=True`` additionally rebuilds the instance's own
         caches from scratch and uses the rebuild as the recompute reference,
-        so corruption introduced by a ``with_*`` patch is caught too.
+        so corruption introduced by an in-place patch is caught too.
         """
         obs = get_recorder()
         report = AuditReport()
@@ -227,19 +227,11 @@ class InvariantAuditor:
         obs.count("check.audit.mismatches", len(report.mismatches))
         return report
 
-    def audit_instance_update(
-        self, old: Instance, new: Instance
-    ) -> AuditReport:
-        """Audit a ``with_*`` functional update's carried caches.
-
-        Whatever ``new`` inherited from ``old`` — whether shared by
-        identity or patched in place — must match a from-scratch rebuild
-        of ``new``.  ``old`` is accepted so call sites read naturally and
-        so materialising ``new``'s caches here never mutates ``old``.
-        """
-        del old  # the rebuild of ``new`` is the only reference needed
+    def audit_instance(self, instance: Instance) -> AuditReport:
+        """Audit an instance's built caches against a from-scratch rebuild
+        (what every in-place patch and its undo must preserve)."""
         report = AuditReport()
-        self._audit_instance_caches(new, new.rebuilt(), report)
+        self._audit_instance_caches(instance, instance.rebuilt(), report)
         return report
 
     # ------------------------------------------------------------------ #

@@ -21,13 +21,17 @@ twin's operations and diffs what it observes against the twin and
 against its own oracles.
 
 ``memory``
-    :class:`~repro.core.iep.engine.IEPEngine` on its own state.  After
-    every operation: the full :class:`InvariantAuditor`; ``check_plan``;
-    incremental vs from-scratch rebuild (utility and feasibility
-    verdict); vectorized kernel vs the scalar cold-cache fallback (cost
-    and mask); route-cost drift, re-pinned above
-    ``ROUTE_DRIFT_REPIN_TOL``.  On the final state: kernel-strategy and
-    shared-plane audits.
+    The functional :meth:`~repro.core.iep.engine.IEPEngine.apply` (copy,
+    then apply) on its own state, against the twin's in-place path.
+    After every operation: utility, plan, ``dif`` and route costs equal
+    to the twin's to the bit; the full :class:`InvariantAuditor`;
+    ``check_plan``; incremental vs from-scratch rebuild (utility and
+    feasibility verdict); vectorized kernel vs the scalar cold-cache
+    fallback (cost and mask); route-cost drift, re-pinned above
+    ``ROUTE_DRIFT_REPIN_TOL``.  Before each operation, the rollback
+    probe fails it in place on copies right after its repair's first
+    plan mutation: the state must come back exactly.  On the final
+    state: kernel-strategy and shared-plane audits.
 ``sharded``
     :class:`~repro.scale.BatchedPlatform` fed the stream in batches:
     ``check_plan`` once per flush (the flush's own violation count must
@@ -66,6 +70,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.check.auditor import AuditReport, CacheMismatch, InvariantAuditor
 from repro.check.lockdep import LockDep, LockDepSummary, LoopWatchdog, maybe_lockdep
+from repro.core import plan as plan_module
 from repro.core.constraints import check_plan
 from repro.core.gepc.greedy import GreedySolver
 from repro.core.iep.engine import IEPEngine
@@ -106,8 +111,8 @@ PRESETS: dict[str, tuple[str, tuple[str, ...]]] = {
 #: Fixed shape of every fuzz instance beyond its user/event counts.
 GROUPS = 4
 CONFLICT_RATIO = 0.35
-#: The mixed stream draws only in-place operations; every leg must also
-#: see the with_new_event append path and its WAL encoding.
+#: The mixed stream never draws a ``NewEvent``; every leg must also see
+#: the ``append_event`` path and its WAL encoding.
 NEW_EVENT_EVERY = 5
 SHARDS = 3
 BATCH_SIZE = 4
@@ -158,10 +163,13 @@ class FuzzConfig:
 
 @dataclass(frozen=True)
 class TwinState:
-    """The twin's state after one sequence number."""
+    """The twin's state after one sequence number (and that operation's
+    ``dif``)."""
 
     utility: float
     summary: PlanSummary
+    dif: int = 0
+    route_costs: tuple[float, ...] = ()
 
 
 @dataclass
@@ -203,7 +211,10 @@ def run_twin(
     """
     utility = platform.publish_plans()
     twin = Twin(platform.instance)
-    twin.states[0] = TwinState(utility, PlanSummary.of(platform.plan))
+    twin.states[0] = TwinState(
+        utility, PlanSummary.of(platform.plan),
+        route_costs=_route_costs(platform.plan),
+    )
     stream = OperationStream(seed=seed)
     for step in range(count):
         if step % NEW_EVENT_EVERY == 2:
@@ -212,8 +223,10 @@ def run_twin(
             operation = next(
                 stream.mixed(platform.instance, platform.plan, 1)
             )
+        dif = 0
         try:
-            utility = platform.submit(operation).utility_after
+            entry = platform.submit(operation)
+            utility, dif = entry.utility_after, entry.dif
         except REJECTION_ERRORS as exc:
             twin.rejections.append(
                 f"seq {step + 1} ({type(operation).__name__}): "
@@ -221,7 +234,8 @@ def run_twin(
             )
         twin.operations.append(operation)
         twin.states[step + 1] = TwinState(
-            utility, PlanSummary.of(platform.plan)
+            utility, PlanSummary.of(platform.plan), dif,
+            _route_costs(platform.plan),
         )
     twin.instance = platform.instance
     return twin
@@ -373,6 +387,10 @@ class FuzzSummary:
 # --------------------------------------------------------------------- #
 
 
+def _route_costs(plan: GlobalPlan) -> tuple[float, ...]:
+    return tuple(plan.route_cost(u) for u in range(plan.instance.n_users))
+
+
 def _rebuild_state(
     instance: Instance, plan: GlobalPlan
 ) -> tuple[Instance, GlobalPlan]:
@@ -475,10 +493,20 @@ def _memory_leg(
     report.audited(auditor.audit(plan))
     for step, operation in enumerate(twin.operations):
         label = f"memory step {step} ({type(operation).__name__})"
+        _probe_rollback(instance, plan, operation, label, report)
         result = engine.apply(instance, plan, operation)
         instance, plan = result.instance, result.plan
         report.total_dif += result.dif
 
+        # The twin applied it in place, this leg through the functional
+        # oracle: bit for bit the same (route costs until a drift re-pin).
+        state = twin.states[step + 1]
+        costs = state.route_costs if report.repins else _route_costs(plan)
+        observed = TwinState(
+            total_utility(instance, plan), PlanSummary.of(plan), result.dif,
+            costs,
+        )
+        report.expect("twin_state", observed, state, label)
         report.audited(auditor.audit(plan))
         for violation in check_plan(instance, plan):
             report.violations.append(f"{label}: {violation}")
@@ -492,6 +520,51 @@ def _memory_leg(
     # where a strategy shortcut or a share/attach bug would show.
     report.audited(auditor.audit_kernel_strategies(plan))
     report.audited(auditor.audit_shared_planes(instance))
+
+
+class _InjectedFault(ValueError):
+    """The rollback probe's fault, raised by a repair's first mutation."""
+
+
+def _probe_rollback(
+    instance: Instance,
+    plan: GlobalPlan,
+    operation: AtomicOperation,
+    label: str,
+    report: SeedReport,
+) -> None:
+    """Fail ``operation`` in place on copies right after its repair's
+    first plan mutation: the state must come back exactly (plan lists in
+    order, route costs, utility, instance records) and auditor-clean."""
+    instance = instance.copy()
+    plan = plan.rebound_to(instance)
+
+    def state() -> dict[str, object]:
+        return {
+            "plans": tuple(events for _, events in plan),
+            "route_costs": _route_costs(plan),
+            "utility": total_utility(instance, plan),
+            "users": tuple(instance.users),
+            "events": tuple(instance.events),
+            "utility_matrix": hash(instance.utility.tobytes()),
+        }
+
+    def fail_once(_: GlobalPlan, action: str, user: int, event: int) -> None:
+        plan_module._MUTATION_HOOKS.remove(fail_once)
+        raise _InjectedFault(f"injected after {action}({user}, {event})")
+
+    before = state()
+    plan_module._MUTATION_HOOKS.append(fail_once)
+    try:
+        IEPEngine().apply_in_place(instance, plan, operation)
+    except _InjectedFault:
+        after = state()
+        for part, value in before.items():
+            report.expect(f"rollback_{part}", after[part], value, label)
+        report.audited(InvariantAuditor().audit(plan))
+    finally:
+        if fail_once in plan_module._MUTATION_HOOKS:
+            plan_module._MUTATION_HOOKS.remove(fail_once)
 
 
 # --------------------------------------------------------------------- #

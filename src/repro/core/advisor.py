@@ -3,9 +3,9 @@
 IEP answers "the time changed — repair the plan"; organisers usually face
 the *prior* question: "I must move my event — **which** new time hurts
 least?".  The advisor answers it by dry-running candidate operations
-through the IEP engine (inputs are never mutated, so a dry run is just an
-ordinary ``apply`` whose result is discarded) and ranking the outcomes by
-negative impact, then utility.
+through the IEP engine (the functional ``apply`` works on copies, so a
+dry run is just an ``apply`` whose result is discarded) and ranking the
+outcomes by negative impact, then utility.
 
 The same mechanism generalises to any atomic operation via
 :func:`predict_impact`.

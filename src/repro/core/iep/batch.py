@@ -4,10 +4,11 @@ The paper handles multi-change updates by "running the incremental version
 multiple times" and leaves a native batch algorithm to future work.  This
 module implements that extension:
 
-1. **Fold** all instance changes into one post-change instance.
-2. **Rebind** the old plan and strip every assignment the combined changes
-   broke: zero-utility pairs, time conflicts, over-budget routes, and
-   over-upper-bound events (lowest utilities evicted first).
+1. **Fold** all instance changes into a copy of the instance, patched in
+   place, and let a copy of the plan follow the patches.
+2. **Strip** every assignment the combined changes broke: zero-utility
+   pairs, time conflicts, over-budget routes, and over-upper-bound events
+   (lowest utilities evicted first).
 3. **Repair** each event left between 1 and ``xi_j - 1`` attendees with the
    Algorithm-4 machinery (free additions, then Delta-heap transfers, then
    cancellation), processing the largest deficits last so cheap fixes free
@@ -29,7 +30,7 @@ from repro.core.iep.operations import AtomicOperation
 from repro.core.metrics import dif as dif_metric
 from repro.core.metrics import total_utility
 from repro.core.model import Instance
-from repro.core.plan import GlobalPlan
+from repro.core.plan import GlobalPlan, Journal
 from repro.core.repair import repair_lower_bounds, strip_violations
 from repro.obs import get_recorder
 
@@ -59,15 +60,17 @@ class BatchIEPEngine:
         operations: list[AtomicOperation],
     ) -> BatchResult:
         obs = get_recorder()
-        with obs.span("batch.fold"):
+        instance = instance.copy()
+        new_plan = plan.rebound_to(instance)
+        with Journal(new_plan) as journal, obs.span("batch.fold"):
             for operation in operations:
                 operation.validate(instance)
-                instance = operation.apply_to_instance(instance)
+                operation.apply_to_instance(instance)
+            new_plan.follow(journal)
         # Note: validation against intermediate instances intentionally --
         # a batch is an ordered change list, exactly like the sequential
         # engine sees it.
 
-        new_plan = plan.rebound_to(instance)
         diagnostics: dict[str, float] = {}
         with obs.span("batch.repair"):
             touched = strip_violations(instance, new_plan, diagnostics)

@@ -7,7 +7,9 @@ Usage::
     result.plan      # repaired plan, feasible on result.instance
     result.dif       # negative impact vs the input plan (Definition 2)
 
-The input instance and plan are never mutated; repairs run on copies.
+``apply`` is the functional form: it copies the instance and the plan and
+never mutates its inputs.  ``apply_in_place`` is what the platforms run:
+it patches one live state and rolls it back exactly if anything raises.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ from repro.core.iep.operations import (
 )
 from repro.core.iep.time_change import location_change, time_change
 from repro.core.iep.xi_increase import xi_increase
-from repro.core.metrics import dif as dif_metric
 from repro.core.metrics import total_utility
 from repro.core.model import Instance
-from repro.core.plan import GlobalPlan
+from repro.core.plan import GlobalPlan, Journal
 from repro.obs import get_recorder
 
 # Post-apply observers installed by repro.check.shadow (empty in normal
@@ -67,30 +68,52 @@ class IEPEngine:
         plan: GlobalPlan,
         operation: AtomicOperation,
     ) -> IEPResult:
-        """Repair ``plan`` for ``operation`` and report the negative impact."""
+        """Repair a copy of ``plan`` for ``operation`` (the functional
+        oracle: ``instance`` and ``plan`` are never touched)."""
+        with get_recorder().span("iep.copy"):
+            copy = instance.copy()
+            rebound = plan.rebound_to(copy)
+        return self.apply_in_place(copy, rebound, operation)
+
+    def apply_in_place(
+        self,
+        instance: Instance,
+        plan: GlobalPlan,
+        operation: AtomicOperation,
+    ) -> IEPResult:
+        """Patch ``instance``, repair ``plan`` (bound to it) and report
+        the negative impact, copying nothing.
+
+        The plan recomputes only what the patch made stale
+        (:meth:`GlobalPlan.follow`); the :class:`~repro.core.plan.Journal`
+        gives ``dif``, and on any exception, from validation to the
+        post-apply hooks, rolls both back exactly before re-raising.
+        """
+        if plan.instance is not instance:
+            raise ValueError("the plan is bound to another instance")
         obs = get_recorder()
         kind = type(operation).__name__
         operation.validate(instance)
-        with obs.span(f"iep.{kind}"):
-            with obs.span("rebind"):
-                new_instance = operation.apply_to_instance(instance)
-                new_plan = plan.rebound_to(new_instance)
-            with obs.span("repair"):
-                diagnostics = self._dispatch(new_instance, new_plan, operation)
+        with Journal(plan) as journal:
+            with obs.span(f"iep.{kind}"):
+                with obs.span("rebind"):
+                    operation.apply_to_instance(instance)
+                    plan.follow(journal)
+                with obs.span("repair"):
+                    diagnostics = self._dispatch(instance, plan, operation)
+            result = IEPResult(
+                instance=instance,
+                plan=plan,
+                operation=operation,
+                dif=journal.dif(),
+                diagnostics=diagnostics,
+            )
+            for hook in _APPLY_HOOKS:
+                hook(result)
         obs.count("iep.operations")
         obs.count(f"iep.operations.{kind}")
         for key, value in diagnostics.items():
             obs.count(f"iep.repair.{key}", value)
-        result = IEPResult(
-            instance=new_instance,
-            plan=new_plan,
-            operation=operation,
-            dif=dif_metric(plan, new_plan),
-            diagnostics=diagnostics,
-        )
-        if _APPLY_HOOKS:
-            for hook in _APPLY_HOOKS:
-                hook(result)
         return result
 
     def apply_sequence(

@@ -1,15 +1,16 @@
 """The atomic operations of Section IV.
 
-Each operation knows how to produce the *post-change instance*
-(:meth:`AtomicOperation.apply_to_instance`); plan repair is the job of the
-algorithms in this package.  Operations are immutable value objects so update
-streams can be logged and replayed.
+Each operation validates itself against an instance and then patches the
+instance in place (:meth:`AtomicOperation.apply_to_instance`); plan repair
+is the job of the algorithms in this package.  Operations are immutable
+value objects so update streams can be logged and replayed.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,11 +24,57 @@ class AtomicOperation(abc.ABC):
 
     @abc.abstractmethod
     def apply_to_instance(self, instance: Instance) -> Instance:
-        """The instance after this change (the original is untouched)."""
+        """Patch ``instance`` in place with this change and return it.
+
+        Every built cache is patched too, and each patch's inverse goes
+        to the instance's active undo journal (see
+        :meth:`repro.core.iep.engine.IEPEngine.apply_in_place`).
+        """
 
     def validate(self, instance: Instance) -> None:
         """Raise ``ValueError`` if the operation is ill-formed for
-        ``instance`` (bad ids, bounds crossing, ...)."""
+        ``instance``; nothing may be patched before this passes.
+
+        Every field is checked by its role: ids must be ``int`` (not
+        ``bool``) and in range, bounds non-negative ``int``, every number
+        finite, utilities in ``[0, 1]``.  Subclasses add the checks that
+        relate the operation to the instance's current state.
+        """
+        for item in fields(self):  # type: ignore[arg-type]
+            _check_field(item.name, getattr(self, item.name), instance)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_finite(name: str, *values: object) -> None:
+    for value in values:
+        if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)
+        ) or not math.isfinite(value):
+            raise ValueError(f"{name} must be finite numbers, got {value!r}")
+
+
+def _check_field(name: str, value: object, instance: Instance) -> None:
+    if name in ("event", "user"):
+        count = instance.n_events if name == "event" else instance.n_users
+        if not _is_int(value) or not 0 <= value < count:  # type: ignore[operator]
+            raise ValueError(f"{name} id {value!r} is not an int in [0, {count})")
+    elif name in ("new_upper", "new_lower", "lower", "upper"):
+        if not _is_int(value) or value < 0:  # type: ignore[operator]
+            raise ValueError(f"{name} {value!r} is not a non-negative int")
+    elif isinstance(value, Point):
+        _check_finite(name, value.x, value.y)
+    elif isinstance(value, Interval):
+        _check_finite(name, value.start, value.end)
+    else:  # new_value, utilities, new_budget, fee
+        values = value if name == "utilities" else (value,)
+        _check_finite(name, *values)  # type: ignore[misc]
+        if name in ("new_value", "utilities") and not all(
+            0.0 <= v <= 1.0 for v in values  # type: ignore[union-attr]
+        ):
+            raise ValueError("utility scores lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -38,6 +85,7 @@ class EtaDecrease(AtomicOperation):
     new_upper: int
 
     def validate(self, instance: Instance) -> None:
+        super().validate(instance)
         spec = instance.events[self.event]
         if self.new_upper >= spec.upper:
             raise ValueError("EtaDecrease must lower the upper bound")
@@ -45,7 +93,8 @@ class EtaDecrease(AtomicOperation):
             raise ValueError("upper bound cannot drop below the lower bound")
 
     def apply_to_instance(self, instance: Instance) -> Instance:
-        return instance.with_event(self.event, upper=self.new_upper)
+        instance.set_event(self.event, upper=self.new_upper)
+        return instance
 
 
 @dataclass(frozen=True)
@@ -56,11 +105,13 @@ class EtaIncrease(AtomicOperation):
     new_upper: int
 
     def validate(self, instance: Instance) -> None:
+        super().validate(instance)
         if self.new_upper <= instance.events[self.event].upper:
             raise ValueError("EtaIncrease must raise the upper bound")
 
     def apply_to_instance(self, instance: Instance) -> Instance:
-        return instance.with_event(self.event, upper=self.new_upper)
+        instance.set_event(self.event, upper=self.new_upper)
+        return instance
 
 
 @dataclass(frozen=True)
@@ -71,6 +122,7 @@ class XiIncrease(AtomicOperation):
     new_lower: int
 
     def validate(self, instance: Instance) -> None:
+        super().validate(instance)
         spec = instance.events[self.event]
         if self.new_lower <= spec.lower:
             raise ValueError("XiIncrease must raise the lower bound")
@@ -78,7 +130,8 @@ class XiIncrease(AtomicOperation):
             raise ValueError("lower bound cannot exceed the upper bound")
 
     def apply_to_instance(self, instance: Instance) -> Instance:
-        return instance.with_event(self.event, lower=self.new_lower)
+        instance.set_event(self.event, lower=self.new_lower)
+        return instance
 
 
 @dataclass(frozen=True)
@@ -89,13 +142,13 @@ class XiDecrease(AtomicOperation):
     new_lower: int
 
     def validate(self, instance: Instance) -> None:
+        super().validate(instance)
         if self.new_lower >= instance.events[self.event].lower:
             raise ValueError("XiDecrease must lower the lower bound")
-        if self.new_lower < 0:
-            raise ValueError("lower bound cannot be negative")
 
     def apply_to_instance(self, instance: Instance) -> Instance:
-        return instance.with_event(self.event, lower=self.new_lower)
+        instance.set_event(self.event, lower=self.new_lower)
+        return instance
 
 
 @dataclass(frozen=True)
@@ -106,7 +159,8 @@ class TimeChange(AtomicOperation):
     new_interval: Interval
 
     def apply_to_instance(self, instance: Instance) -> Instance:
-        return instance.with_event(self.event, interval=self.new_interval)
+        instance.set_event(self.event, interval=self.new_interval)
+        return instance
 
 
 @dataclass(frozen=True)
@@ -117,7 +171,8 @@ class LocationChange(AtomicOperation):
     new_location: Point
 
     def apply_to_instance(self, instance: Instance) -> Instance:
-        return instance.with_event(self.event, location=self.new_location)
+        instance.set_event(self.event, location=self.new_location)
+        return instance
 
 
 @dataclass(frozen=True)
@@ -135,6 +190,9 @@ class NewEvent(AtomicOperation):
     fee: float = 0.0
 
     def validate(self, instance: Instance) -> None:
+        super().validate(instance)
+        if self.upper < self.lower:
+            raise ValueError("upper bound below the lower bound")
         if len(self.utilities) != instance.n_users:
             raise ValueError("one utility score per user required")
         if self.fee < 0:
@@ -148,9 +206,10 @@ class NewEvent(AtomicOperation):
             upper=self.upper,
             interval=self.interval,
         )
-        return instance.with_new_event(
+        instance.append_event(
             event, np.asarray(self.utilities, dtype=float), fee=self.fee
         )
+        return instance
 
 
 @dataclass(frozen=True)
@@ -161,12 +220,9 @@ class UtilityChange(AtomicOperation):
     event: int
     new_value: float
 
-    def validate(self, instance: Instance) -> None:
-        if not 0.0 <= self.new_value <= 1.0:
-            raise ValueError("utility scores lie in [0, 1]")
-
     def apply_to_instance(self, instance: Instance) -> Instance:
-        return instance.with_utility(self.user, self.event, self.new_value)
+        instance.set_utility(self.user, self.event, self.new_value)
+        return instance
 
 
 @dataclass(frozen=True)
@@ -177,8 +233,10 @@ class BudgetChange(AtomicOperation):
     new_budget: float
 
     def validate(self, instance: Instance) -> None:
+        super().validate(instance)
         if self.new_budget < 0:
             raise ValueError("budgets are non-negative")
 
     def apply_to_instance(self, instance: Instance) -> Instance:
-        return instance.with_user(self.user, budget=self.new_budget)
+        instance.set_budget(self.user, self.new_budget)
+        return instance

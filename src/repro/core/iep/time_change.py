@@ -30,8 +30,8 @@ def time_change(
 ) -> dict[str, float]:
     """Repair ``plan`` in place after ``event``'s interval changed.
 
-    ``instance`` must already carry the new interval and ``plan`` must be
-    rebound to it (:meth:`GlobalPlan.rebound_to`).
+    ``instance`` must already carry the new interval and ``plan`` must
+    have followed the patch (:meth:`GlobalPlan.follow`).
     """
     return _perturbation_repair(instance, plan, event, check_conflicts=True)
 
@@ -91,7 +91,8 @@ def _remove_broken_attendees(
 
     The conflict test is an O(1) blocked-counter read (``event`` never
     conflicts with itself, so its own membership contributes nothing) and
-    the budget test reuses the route cost the rebind already cached.
+    the budget test reuses the route cost ``GlobalPlan.follow`` already
+    recomputed.
     """
     removed = []
     for user in plan.attendees(event):

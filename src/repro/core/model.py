@@ -14,7 +14,7 @@ their inner loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -30,13 +30,13 @@ from repro.timeline.conflicts import (
     conflict_matrix,
     conflict_ratio,
     conflict_row,
-    patched_conflict_graph,
-    patched_conflict_matrix,
+    patch_conflict_graph,
 )
 from repro.timeline.interval import Interval
 
 if TYPE_CHECKING:
     from repro.core.costs import CostModel
+    from repro.core.plan import Journal
 
 #: Either distance backend satisfies the same serving interface
 #: (``user_event`` / ``user_event_row`` / ``user_event_rows`` / ...);
@@ -98,7 +98,7 @@ class Event:
 
 
 class Instance:
-    """An immutable-by-convention GEPC problem instance.
+    """A GEPC problem instance, patched in place by the IEP operations.
 
     Parameters
     ----------
@@ -107,12 +107,15 @@ class Instance:
     events:
         Events with ids ``0 .. m-1`` in order.
     utility:
-        ``n x m`` matrix of utility scores in ``[0, 1]``.
+        ``n x m`` matrix of utility scores in ``[0, 1]``.  The instance
+        adopts the array: in-place patches write it.
 
-    The IEP atomic operations produce *new* instances via :meth:`with_event`
-    / :meth:`with_user` / :meth:`with_utility` rather than mutating, so an
-    original plan can always be re-validated against the instance it was
-    computed for.
+    The IEP atomic operations change an instance through :meth:`set_event`
+    / :meth:`set_budget` / :meth:`set_utility` / :meth:`append_event`,
+    which patch every already-built cache and push their inverse onto the
+    active undo journal (:class:`repro.core.plan.Journal`).  ``revision``
+    grows with every patch, so memos keyed on it never serve a stale
+    instance.  Take a :meth:`copy` to keep a state.
     """
 
     def __init__(
@@ -138,15 +141,26 @@ class Instance:
         for j, event in enumerate(events):
             if event.id != j:
                 raise ValueError(f"event ids must be 0..m-1 in order, got {event.id} at {j}")
-        self.users = list(users)
-        self.events = list(events)
-        self.utility = utility
-        self.cost_model = cost_model or DEFAULT_COST_MODEL
+        cost_model = cost_model or DEFAULT_COST_MODEL
         if (
-            self.cost_model.fees is not None
-            and self.cost_model.fees.shape != (len(events),)
+            cost_model.fees is not None
+            and cost_model.fees.shape != (len(events),)
         ):
             raise ValueError("one admission fee per event required")
+        self._adopt(list(users), list(events), utility, cost_model)
+
+    def _adopt(
+        self,
+        users: list[User],
+        events: list[Event],
+        utility: np.ndarray,
+        cost_model: CostModel,
+    ) -> None:
+        """Take the raw data as given, with no cache built yet."""
+        self.users = users
+        self.events = events
+        self.utility = utility
+        self.cost_model = cost_model
         self._distances: DistanceBackend | None = None
         self._candidates: SpatialCandidateIndex | None = None
         self._conflicts: list[set[int]] | None = None
@@ -155,6 +169,8 @@ class Instance:
         self._fee_vector: np.ndarray | None = None
         self._plane_handles: dict | None = None
         self._plane_attachments: list = []
+        self.revision = 0
+        self._journal: Journal | None = None
 
     @classmethod
     def _from_validated(
@@ -164,29 +180,14 @@ class Instance:
         utility: np.ndarray,
         cost_model: CostModel,
     ) -> "Instance":
-        """Trusted construction path for the ``with_*`` functional updates.
+        """Trusted construction path for copies and sub-instances.
 
         Skips the O(n + m) id-ordering scan and the full utility-matrix
         range validation of ``__init__`` — the inputs are derived from an
-        already-validated instance, so only the *changed* parts need checks
-        (done by the callers).  The lists are stored as given, so callers
-        that did not touch them pass the previous instance's lists through
-        unchanged, which lets ``GlobalPlan.rebound_to`` detect unchanged
-        populations by identity.
+        already-validated instance.
         """
         instance = cls.__new__(cls)
-        instance.users = users
-        instance.events = events
-        instance.utility = utility
-        instance.cost_model = cost_model
-        instance._distances = None
-        instance._candidates = None
-        instance._conflicts = None
-        instance._conflict_matrix = None
-        instance._event_starts = None
-        instance._fee_vector = None
-        instance._plane_handles = None
-        instance._plane_attachments = []
+        instance._adopt(users, events, utility, cost_model)
         return instance
 
     # ------------------------------------------------------------------ #
@@ -274,18 +275,9 @@ class Instance:
         Treat as read-only.
         """
         if self._conflict_matrix is None:
-            if self._conflicts is not None:
-                # Derive from the adjacency already paid for.
-                m = self.n_events
-                matrix = np.zeros((m, m), dtype=bool)
-                for j, neighbours in enumerate(self._conflicts):
-                    if neighbours:
-                        matrix[j, list(neighbours)] = True
-                self._conflict_matrix = matrix
-            else:
-                self._conflict_matrix = conflict_matrix(
-                    [e.interval for e in self.events]
-                )
+            self._conflict_matrix = conflict_matrix(
+                [e.interval for e in self.events]
+            )
         return _read_only(self._conflict_matrix)
 
     @property
@@ -312,7 +304,7 @@ class Instance:
     # ------------------------------------------------------------------ #
 
     def warm_planes(self) -> None:
-        """Force-build every immutable dense plane a solve reads.
+        """Force-build every dense plane a solve reads.
 
         Warming before partitioning/sharing guarantees that shard
         subinstances *slice* these planes (bit-exact) instead of each
@@ -396,20 +388,12 @@ class Instance:
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.users = state["users"]
-        self.events = state["events"]
-        self.cost_model = state["cost_model"]
-        self._distances = None
-        self._candidates = None
-        self._conflicts = None
-        self._conflict_matrix = None
-        self._event_starts = None
-        self._fee_vector = None
-        self._plane_handles = None
-        self._plane_attachments = []
+        self._adopt(
+            state["users"], state["events"], state.get("utility"),
+            state["cost_model"],
+        )
         handles = state.get("planes")
         if handles is None:
-            self.utility = state["utility"]
             return
         # Zero-copy restore: attach every published plane read-only and
         # pre-seed the caches with the attached arrays.  Values are the
@@ -495,11 +479,11 @@ class Instance:
     def rebuilt(self) -> "Instance":
         """A fresh instance over the same data with *no* carried caches.
 
-        The ``with_*`` functional updates patch or identity-share cached
-        distances and conflict structures; ``rebuilt()`` is the ground-truth
-        reference against which those patched caches are audited (see
-        :mod:`repro.check`).  Every lazy structure of the result is built
-        from the raw users/events/utility on first access.
+        The in-place patches rewrite cached distances and conflict
+        structures; ``rebuilt()`` is the ground-truth reference against
+        which those patched caches are audited (see :mod:`repro.check`).
+        Every lazy structure of the result is built from the raw
+        users/events/utility on first access.
         """
         return Instance(
             list(self.users), list(self.events), self.utility, self.cost_model
@@ -594,205 +578,183 @@ class Instance:
         )
 
     # ------------------------------------------------------------------ #
-    # Functional updates (used by the IEP atomic operations)
+    # Copies and in-place patches (used by the IEP atomic operations)
     # ------------------------------------------------------------------ #
 
-    def with_event(self, event_id: int, **changes: object) -> "Instance":
-        """A new instance with one event's attributes replaced.
+    def copy(self) -> "Instance":
+        """An independent copy with every built cache but the candidate
+        index (rebuilt lazily, to the same sets)."""
+        clone = Instance._from_validated(
+            list(self.users), list(self.events), self.utility.copy(),
+            self.cost_model,
+        )
+        if self._distances is not None:
+            clone._distances = self._distances.copy()
+        if self._conflicts is not None:
+            clone._conflicts = [set(row) for row in self._conflicts]
+        for name in ("_conflict_matrix", "_event_starts", "_fee_vector"):
+            if getattr(self, name) is not None:
+                setattr(clone, name, getattr(self, name).copy())
+        return clone
 
-        Cached geometry and conflict structures are carried forward whenever
-        the change cannot invalidate them: a bound change preserves both by
-        identity, a location change patches only the moved event's distance
-        row/column, and a time change recomputes only its conflict row.
-        This is what keeps the IEP operation stream free of O(n * m) cache
-        rebuilds.
+    def _patched(self, undo: Callable[[], None]) -> None:
+        """Hand the inverse of a patch about to be made to the active undo
+        journal (first, so a patch that fails halfway is undone too)."""
+        if self._journal is not None:
+            self._journal.undo.append(undo)
+
+    def set_event(self, event_id: int, **changes: object) -> None:
+        """Replace one event's attributes in place.
+
+        A bound change patches no cache, a move recomputes the event's
+        distance column and candidate set, and a retime rewrites its
+        conflict row and start.
         """
         old = self.events[event_id]
-        updated = replace(old, **changes)
-        events = list(self.events)
-        events[event_id] = updated
-        instance = Instance._from_validated(
-            self.users, events, self.utility, self.cost_model
-        )
-        location_changed = updated.location != old.location
-        interval_changed = updated.interval != old.interval
+        self._patched(lambda: self._put_event(event_id, old))
+        self._put_event(event_id, replace(old, **changes))  # type: ignore[arg-type]
 
-        if self._distances is not None:
-            if not location_changed:
-                instance._distances = self._distances
-            else:
-                instance._distances = self._distances.with_event_location(
+    def _put_event(self, event_id: int, updated: Event) -> None:
+        old = self.events[event_id]
+        self.events[event_id] = updated
+        self.revision += 1
+        journal = self._journal
+        if updated.location != old.location:
+            if self._distances is not None:
+                self._distances.replace_event_location(
                     event_id,
                     updated.location,
                     [u.location for u in self.users],
-                    [e.location for e in events],
-                )
-        if self._candidates is not None:
-            # Candidate sets are purely geometric (budget vs round trip),
-            # so bound/time changes carry them by identity; a move patches
-            # only the moved event's set.
-            if not location_changed:
-                instance._candidates = self._candidates
-            else:
-                instance._candidates = self._candidates.with_event_location(
-                    event_id,
-                    np.array(
-                        (updated.location.x, updated.location.y),
-                        dtype=float,
-                    ),
-                )
-        if not interval_changed:
-            instance._conflicts = self._conflicts
-            instance._conflict_matrix = self._conflict_matrix
-            instance._event_starts = self._event_starts
-        else:
-            intervals = [e.interval for e in events]
-            if self._conflicts is not None:
-                instance._conflicts = patched_conflict_graph(
-                    self._conflicts, intervals, event_id
-                )
-            if self._conflict_matrix is not None:
-                instance._conflict_matrix = patched_conflict_matrix(
-                    self._conflict_matrix, intervals, event_id
-                )
-            if self._event_starts is not None:
-                starts = self._event_starts.copy()
-                starts[event_id] = updated.start
-                instance._event_starts = starts
-        instance._fee_vector = self._fee_vector
-        return instance
-
-    def with_user(self, user_id: int, **changes: object) -> "Instance":
-        """A new instance with one user's attributes replaced.
-
-        A budget change preserves the distance cache by identity; a home
-        relocation patches only that user's distance row.  Conflicts never
-        depend on users, so they always carry forward.
-        """
-        old = self.users[user_id]
-        updated = replace(old, **changes)
-        users = list(self.users)
-        users[user_id] = updated
-        instance = Instance._from_validated(
-            users, self.events, self.utility, self.cost_model
-        )
-        if self._distances is not None:
-            if updated.location == old.location:
-                instance._distances = self._distances
-            else:
-                patched = self._distances.copy()
-                patched.replace_user_location(
-                    user_id,
-                    updated.location,
                     [e.location for e in self.events],
                 )
-                instance._distances = patched
-        if updated.location == old.location:
-            if updated.budget == old.budget:
-                # Neither geometry nor budget moved: the candidate sets
-                # are unchanged.
-                instance._candidates = self._candidates
-            elif self._candidates is not None:
-                # Budget-only change: patch the one user's membership
-                # exactly instead of rebuilding the whole index.
-                instance._candidates = self._candidates.with_user_budget(
-                    user_id, updated.budget
+            if self._candidates is not None:
+                self._candidates.move_event(
+                    event_id,
+                    np.array(
+                        (updated.location.x, updated.location.y), dtype=float
+                    ),
                 )
-        # A relocation leaves the index to rebuild lazily — one user's
-        # move can change their grid cell and every event's set.
-        instance._conflicts = self._conflicts
-        instance._conflict_matrix = self._conflict_matrix
-        instance._event_starts = self._event_starts
-        instance._fee_vector = self._fee_vector
-        return instance
+            if journal is not None:
+                journal.moved_events.add(event_id)
+        if updated.interval != old.interval:
+            row = conflict_row([e.interval for e in self.events], event_id)
+            if self._conflicts is not None:
+                patch_conflict_graph(self._conflicts, row, event_id)
+            if self._conflict_matrix is not None:
+                self._conflict_matrix[event_id, :] = row
+                self._conflict_matrix[:, event_id] = row
+            if self._event_starts is not None:
+                self._event_starts[event_id] = updated.start
+            if journal is not None:
+                journal.moved_events.add(event_id)
+                journal.retimed = True
 
-    def with_utility(self, user_id: int, event_id: int, value: float) -> "Instance":
-        """A new instance with one utility score replaced.
+    def set_budget(self, user_id: int, budget: float) -> None:
+        """Replace one user's travel budget in place (the candidate index
+        patches that user's memberships)."""
+        old = self.users[user_id]
+        self._patched(lambda: self._put_user(user_id, old))
+        self._put_user(user_id, replace(old, budget=budget))
 
-        Only the new score is validated (the rest of the matrix was checked
-        when this instance was built); every cached structure is carried
-        forward untouched since utilities affect neither geometry nor time.
-        """
+    def _put_user(self, user_id: int, updated: User) -> None:
+        old = self.users[user_id]
+        self.users[user_id] = updated
+        self.revision += 1
+        if updated != old:
+            if self._candidates is not None:
+                self._candidates.set_user_budget(user_id, updated.budget)
+            if self._journal is not None:
+                self._journal.rewritten_users.add(user_id)
+
+    def set_utility(self, user_id: int, event_id: int, value: float) -> None:
+        """Replace one utility score in place (no cache depends on it)."""
         if not 0.0 <= value <= 1.0:
             raise ValueError("utility scores must lie in [0, 1]")
-        utility = self.utility.copy()
-        utility[user_id, event_id] = value
-        instance = Instance._from_validated(
-            self.users, self.events, utility, self.cost_model
-        )
-        instance._distances = self._distances
-        instance._candidates = self._candidates
-        instance._conflicts = self._conflicts
-        instance._conflict_matrix = self._conflict_matrix
-        instance._event_starts = self._event_starts
-        instance._fee_vector = self._fee_vector
-        return instance
+        old = float(self.utility[user_id, event_id])
+        self._patched(lambda: self._put_utility(user_id, event_id, old))
+        self._put_utility(user_id, event_id, value)
 
-    def with_new_event(
+    def _put_utility(self, user_id: int, event_id: int, value: float) -> None:
+        self.utility[user_id, event_id] = value
+        self.revision += 1
+
+    def append_event(
         self, event: Event, utilities: np.ndarray, fee: float = 0.0
-    ) -> "Instance":
-        """A new instance with an additional event appended.
+    ) -> None:
+        """Append one event in place (``event.id`` must be the event
+        count; one utility score per user; ``fee`` under a fee-charging
+        cost model).
 
-        ``event.id`` must equal the current event count; ``utilities`` is one
-        utility score per user; ``fee`` is the new event's admission fee
-        (only meaningful under a fee-charging cost model).  Cached distances
-        gain one appended column/row; cached conflicts gain one appended
-        adjacency row — nothing already cached is recomputed.
+        The one patch that allocates: the utility and conflict matrices
+        grow by a column around the old values.  Built distances and
+        candidate sets gain one column; nothing built is recomputed.
         """
-        if event.id != self.n_events:
-            raise ValueError(
-                f"new event id must be {self.n_events}, got {event.id}"
-            )
-        utilities = np.asarray(utilities, dtype=float).reshape(self.n_users, 1)
-        if utilities.size and (utilities.min() < 0 or utilities.max() > 1):
+        m = self.n_events
+        if event.id != m:
+            raise ValueError(f"new event id must be {m}, got {event.id}")
+        column = np.asarray(utilities, dtype=float).reshape(self.n_users, 1)
+        if column.size and (column.min() < 0 or column.max() > 1):
             raise ValueError("utility scores must lie in [0, 1]")
-        utility = np.hstack([self.utility, utilities])
-        cost_model = self.cost_model
-        if cost_model.fees is not None or fee:
-            if cost_model.fees is None:
-                cost_model = replace(
-                    cost_model, fees=np.zeros(self.n_events)
-                )
-            cost_model = cost_model.with_event_appended(fee)
-        events = list(self.events) + [event]
-        instance = Instance._from_validated(
-            self.users, events, utility, cost_model
+        saved = (
+            self.utility, self.cost_model, self._distances, self._candidates,
+            self._conflicts, self._conflict_matrix, self._event_starts,
+            self._fee_vector,
         )
+        self.utility = np.hstack([self.utility, column])
+        if self.cost_model.fees is not None or fee:
+            cost_model = self.cost_model
+            if cost_model.fees is None:
+                cost_model = replace(cost_model, fees=np.zeros(m))
+            self.cost_model = cost_model.with_event_appended(fee)
+        self.events.append(event)
         if self._distances is not None:
-            instance._distances = self._distances.with_appended_event(
+            self._distances.append_event(
                 event.location,
                 [u.location for u in self.users],
-                [e.location for e in self.events],
+                [e.location for e in self.events[:m]],
             )
         if self._candidates is not None:
-            instance._candidates = self._candidates.with_appended_event(
-                np.array(
-                    (event.location.x, event.location.y), dtype=float
-                ),
+            self._candidates.append_event(
+                np.array((event.location.x, event.location.y), dtype=float),
                 float(fee),
             )
-        intervals = [e.interval for e in events]
+        row = conflict_row([e.interval for e in self.events], m)
         if self._conflicts is not None:
-            row = conflict_row(intervals, event.id)
-            neighbours = set(np.flatnonzero(row).tolist())
-            adjacency = list(self._conflicts)
-            for k in neighbours:
-                adjacency[k] = adjacency[k] | {event.id}
-            adjacency.append(neighbours)
-            instance._conflicts = adjacency
+            self._conflicts.append(set())
+            patch_conflict_graph(self._conflicts, row, m)
         if self._conflict_matrix is not None:
-            row = conflict_row(intervals, event.id)
-            m = self.n_events
             matrix = np.zeros((m + 1, m + 1), dtype=bool)
             matrix[:m, :m] = self._conflict_matrix
-            matrix[event.id, :] = row
-            matrix[:, event.id] = row
-            instance._conflict_matrix = matrix
+            matrix[m, :] = row
+            matrix[:, m] = row
+            self._conflict_matrix = matrix
         if self._event_starts is not None:
-            instance._event_starts = np.append(
-                self._event_starts, event.start
-            )
-        return instance
+            self._event_starts = np.append(self._event_starts, event.start)
+        self._fee_vector = None
+        self.revision += 1
+        if self._journal is not None:
+            self._journal.retimed = True
+
+        def undo() -> None:
+            # Restoring the saved references drops caches built after the
+            # append; the ones built before shrink back in place.
+            distances, candidates, conflicts = saved[2], saved[3], saved[4]
+            if distances is not None:
+                distances.drop_last_event()
+            if candidates is not None:
+                candidates.drop_last_event()
+            if conflicts is not None:
+                for k in conflicts.pop():
+                    conflicts[k].discard(m)
+            self.events.pop()
+            (
+                self.utility, self.cost_model, self._distances,
+                self._candidates, self._conflicts, self._conflict_matrix,
+                self._event_starts, self._fee_vector,
+            ) = saved
+            self.revision += 1
+
+        self._patched(undo)
 
 
 @dataclass(frozen=True)

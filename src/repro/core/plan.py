@@ -19,6 +19,11 @@ solvers' inner loops run on (see ``docs/performance.md``):
   one user at once through ``DistanceMatrix`` row slices, cached until that
   user's plan next changes — ``can_attend`` is an O(1) lookup into the same
   cache.
+
+An IEP operation patches the plan's instance in place; :meth:`GlobalPlan.
+follow` then recomputes only what the patch made stale, and a
+:class:`Journal` records enough to compute ``dif`` and to roll the whole
+apply back.
 """
 
 from __future__ import annotations
@@ -62,10 +67,8 @@ class GlobalPlan:
         # that user's plan changes.
         self._kernel_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._event_ids = np.arange(instance.n_events)
-        # The instance's conflict-matrix view, fetched once on first use —
-        # _touch runs on every mutation and the property re-wraps a view
-        # per call.
-        self._conflict_rows: np.ndarray | None = None
+        # The undo journal of the in-place apply in progress, if any.
+        self._journal: Journal | None = None
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -135,6 +138,8 @@ class GlobalPlan:
         """
         if user in self._attendee_sets[event]:
             raise ValueError(f"user {user} already attends event {event}")
+        if self._journal is not None:
+            self._journal.save(user)
         plan = self._plans[user]
         if splice_hint is None:
             position, delta = self._splice(user, plan, event)
@@ -155,6 +160,8 @@ class GlobalPlan:
             raise ValueError(
                 f"user {user} does not attend event {event}"
             )
+        if self._journal is not None:
+            self._journal.save(user)
         plan = self._plans[user]
         position = plan.index(event)
         delta = self._unsplice_delta(user, plan, position)
@@ -182,11 +189,10 @@ class GlobalPlan:
         return touched
 
     def _conflict_matrix(self) -> np.ndarray:
-        rows = self._conflict_rows
-        if rows is None:
-            rows = self.instance.conflict_matrix
-            self._conflict_rows = rows
-        return rows
+        # The instance's own (in-place patched) matrix: _touch runs on
+        # every mutation, and the property wraps a fresh view per call.
+        matrix = self.instance._conflict_matrix
+        return self.instance.conflict_matrix if matrix is None else matrix
 
     def _touch(self, user: int, event: int, sign: int) -> None:
         """Post-mutation bookkeeping: blocked counters and kernel cache."""
@@ -443,20 +449,19 @@ class GlobalPlan:
         return drift
 
     # ------------------------------------------------------------------ #
-    # Copies and rebinding
+    # Copies, rebinding, and following in-place instance patches
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "GlobalPlan":
-        """A deep copy sharing the (immutable-by-convention) instance."""
+        """A deep copy bound to the same instance."""
         clone = GlobalPlan.__new__(GlobalPlan)
         clone.instance = self.instance
         clone._plans = [list(plan) for plan in self._plans]
         clone._attendance = list(self._attendance)
         clone._route_costs = list(self._route_costs)
         clone._attendee_sets = [set(s) for s in self._attendee_sets]
-        # Blocked rows are lazily rebuilt from the plan + conflict matrix;
-        # an empty plan's row is all zeros, so only rows backing a live
-        # plan are worth carrying (at soak scale most users hold none).
+        # Blocked rows rebuild lazily; only rows backing a live plan are
+        # worth carrying (at soak scale most users hold none).
         clone._blocked = {
             user: row.copy()
             for user, row in self._blocked.items()
@@ -466,101 +471,127 @@ class GlobalPlan:
         # the clone can share them until either plan diverges.
         clone._kernel_cache = dict(self._kernel_cache)
         clone._event_ids = self._event_ids
-        clone._conflict_rows = self._conflict_rows
+        clone._journal = None
         return clone
 
     def rebound_to(self, instance: Instance) -> "GlobalPlan":
-        """The same assignments re-bound to a modified instance.
-
-        Used by the IEP engine after an atomic operation changes event or
-        user attributes: route costs are recomputed against the new instance,
-        and a new-event column extends the attendance vector.  The result may
-        be infeasible — that is exactly what the repair algorithms fix.
-
-        Rebinding is cache-preserving: events and users the operation did
-        not touch are detected by object identity (the ``with_*`` updates
-        reuse untouched ``User``/``Event`` objects), and only plans that
-        intersect the touched entities get their order and route cost
-        recomputed.  A bound/utility change therefore rebinds in O(n + m)
-        instead of O(n * k).
-        """
-        old = self.instance
-        if instance.n_users != old.n_users:
-            raise ValueError("rebinding cannot change the user population")
-        if instance.n_events < old.n_events:
-            raise ValueError("rebinding cannot drop events")
-
-        changed_users = self._changed_users(old, instance)
-        changed_events, geometry_changed, time_changed = self._changed_events(
-            old, instance
-        )
-        same_cost_model = instance.cost_model is old.cost_model
-
-        clone = GlobalPlan(instance)
-        for user, plan in enumerate(self._plans):
-            if not plan:
-                continue
-            stale = (
-                not same_cost_model
-                or user in changed_users
-                or any(event in changed_events for event in plan)
-            )
-            if stale:
-                ordered = sorted(plan, key=instance.event_starts.__getitem__)
-                clone._plans[user] = ordered
-                clone._route_costs[user] = instance.route_cost(user, ordered)
-            else:
-                clone._plans[user] = list(plan)
-                clone._route_costs[user] = self._route_costs[user]
-            for event in plan:
-                clone._attendance[event] += 1
-                clone._attendee_sets[event].add(user)
-        if not time_changed and instance.n_events == old.n_events:
-            # Conflict relation unchanged: blocked counters carry forward
-            # (empty-plan rows are all zeros — rebuilt lazily, not copied).
-            clone._blocked = {
-                user: row.copy()
-                for user, row in self._blocked.items()
-                if self._plans[user]
-            }
-        # geometry_changed is folded into changed_events above; referenced
-        # here so the three-way split stays explicit for future use.
-        del geometry_changed
+        """A copy of this plan bound to ``instance``, a copy of its own
+        (:meth:`Instance.copy`): every cached value carries over."""
+        if instance.utility.shape != self.instance.utility.shape:
+            raise ValueError("rebinding needs an instance of the same shape")
+        clone = self.copy()
+        clone.instance = instance
         return clone
 
-    @staticmethod
-    def _changed_users(old: Instance, new: Instance) -> set[int]:
-        if new.users is old.users:
-            return set()
-        return {
-            i
-            for i, (a, b) in enumerate(zip(old.users, new.users))
-            if a is not b and a != b
-        }
+    def follow(self, journal: "Journal") -> None:
+        """Bring the caches in line with the instance patches in ``journal``.
 
-    @staticmethod
-    def _changed_events(
-        old: Instance, new: Instance
-    ) -> tuple[set[int], bool, bool]:
-        """(changed event ids, any geometry change, any interval change).
-
-        Appended events (``NewEvent``) are not "changed": they appear in no
-        existing plan, so they cannot affect carried-over route costs.
+        Re-sorts and recosts exactly what the patches made stale: every
+        attendee of a moved or retimed event and every user whose record
+        was rewritten — every plan when the cost model was replaced —
+        saving each to the journal first.  Kernel rows are dropped, and
+        blocked rows when the conflict relation changed.
         """
-        changed: set[int] = set()
-        geometry = False
-        time = False
-        if new.events is not old.events:
-            for j, (a, b) in enumerate(zip(old.events, new.events)):
-                if a is b:
-                    continue
-                if a.location != b.location:
-                    changed.add(j)
-                    geometry = True
-                if a.interval != b.interval:
-                    changed.add(j)
-                    time = True
-        return changed, geometry, time
+        instance = self.instance
+        appended = instance.n_events - len(self._attendance)
+        if appended:
+            self._attendance.extend([0] * appended)
+            self._attendee_sets.extend(set() for _ in range(appended))
+            self._event_ids = np.arange(instance.n_events)
+        self._kernel_cache = {}
+        if journal.retimed:
+            self._blocked = {}
+
+        if instance.cost_model is not journal.cost_model:
+            stale = set(range(instance.n_users))
+        else:
+            stale = set(journal.rewritten_users)
+            for event in journal.moved_events:
+                stale |= self._attendee_sets[event]
+        starts = instance.event_starts
+        for user in stale:
+            plan = self._plans[user]
+            if not plan:
+                continue
+            journal.save(user)
+            plan.sort(key=starts.__getitem__)
+            self._route_costs[user] = instance.route_cost(user, plan)
+
+
+class Journal:
+    """The undo journal of one in-place apply.
+
+    Attached to a plan and its instance for the length of a ``with``
+    block (:meth:`repro.core.iep.engine.IEPEngine.apply_in_place`).  The
+    instance's patches push their inverse onto ``undo`` and note what
+    they changed (``moved_events``, ``rewritten_users``, ``retimed``);
+    the plan saves each user's event list and route cost the first time
+    anything touches them (``before``).  Leaving the block on an
+    exception rolls both back exactly, then lets the exception go on.
+    """
+
+    def __init__(self, plan: GlobalPlan) -> None:
+        self.plan = plan
+        self.instance = plan.instance
+        self.undo: list[Callable[[], None]] = []
+        self.before: dict[int, tuple[list[int], float]] = {}
+        self.cost_model = self.instance.cost_model
+        self.moved_events: set[int] = set()
+        self.rewritten_users: set[int] = set()
+        self.retimed = False
+
+    def __enter__(self) -> "Journal":
+        self.plan._journal = self
+        self.instance._journal = self
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        self.plan._journal = None
+        self.instance._journal = None
+        if exc_type is not None:
+            self.rollback()
+
+    def save(self, user: int) -> None:
+        """Record ``user``'s plan and route cost at first touch."""
+        if user not in self.before:
+            plan = self.plan
+            self.before[user] = (
+                list(plan._plans[user]), plan._route_costs[user]
+            )
+
+    def dif(self) -> int:
+        """Definition 2's ``dif`` of the apply so far: only saved users
+        can have lost an event."""
+        plans = self.plan._plans
+        return sum(
+            len(set(events) - set(plans[user]))
+            for user, (events, _) in self.before.items()
+        )
+
+    def rollback(self) -> None:
+        """Restore the plan and the instance to their state at entry
+        (blocked and kernel rows are dropped: they rebuild to the same
+        values)."""
+        plan = self.plan
+        for user, (events, cost) in self.before.items():
+            current = plan._plans[user]
+            for event in set(current) - set(events):
+                plan._attendance[event] -= 1
+                plan._attendee_sets[event].discard(user)
+            for event in set(events) - set(current):
+                plan._attendance[event] += 1
+                plan._attendee_sets[event].add(user)
+            current[:] = events
+            plan._route_costs[user] = cost
+        plan._blocked = {}
+        plan._kernel_cache = {}
+        for undo in reversed(self.undo):
+            undo()
+        m = self.instance.n_events
+        if len(plan._attendance) != m:
+            del plan._attendance[m:]
+            del plan._attendee_sets[m:]
+            plan._event_ids = np.arange(m)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ them and paid a full geometry rebuild in the worker.  Both costs scale
 with ``n x m`` per *shard dispatch*, for data that never changes during
 a solve.
 
-Here the parent instead publishes each immutable plane once into a
+Here the parent instead publishes each plane once into a
 :class:`multiprocessing.shared_memory.SharedMemory` segment and ships
 only a tiny picklable :class:`PlaneHandle` (name + shape + dtype).
 Workers attach by name — zero copies, fork- and spawn-safe — and map the

@@ -38,6 +38,7 @@ override, and a scoped context manager.
 
 from __future__ import annotations
 
+import copy
 import os
 from collections import OrderedDict
 from collections.abc import Iterator, Sequence
@@ -559,30 +560,20 @@ class TiledDistanceMatrix:
         return out
 
     # ------------------------------------------------------------------ #
-    # Copies, slices, and cache-preserving patches (dense-interface
-    # compatible; the Point sequences some dense signatures carry are
-    # redundant here — coordinates are already resident)
+    # Copies, slices, and in-place patches (dense-interface compatible;
+    # the Point sequences some dense signatures carry are redundant here —
+    # coordinates are already resident)
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "TiledDistanceMatrix":
-        """An independent copy; resident tiles are shared (immutable)."""
-        clone = object.__new__(TiledDistanceMatrix)
-        clone._metric = self._metric
+        """An independent copy; resident tiles are shared (immutable) and
+        the serve counters start at zero."""
+        clone = copy.copy(self)
         clone._user_coords = self._user_coords.copy()
         clone._event_coords = self._event_coords.copy()
-        clone._tile_users = self._tile_users
-        clone._tile_events = self._tile_events
-        clone._cache_bytes = self._cache_bytes
-        clone._dtype = self._dtype
         clone._tiles = OrderedDict(self._tiles)
-        clone._resident_bytes = self._resident_bytes
-        clone._peak_resident_bytes = self._peak_resident_bytes
-        clone._hits = 0
-        clone._misses = 0
-        clone._evictions = 0
-        clone._scalar_serves = 0
-        clone._row_serves = 0
-        clone._event_event = self._event_event
+        clone._hits = clone._misses = clone._evictions = 0
+        clone._scalar_serves = clone._row_serves = 0
         return clone
 
     def submatrix(
@@ -621,56 +612,31 @@ class TiledDistanceMatrix:
         self._invalidate(event_tile=int(event) // self._tile_events)
         self._event_event = None
 
-    def with_event_location(
+    def append_event(
         self,
-        event: int,
         location: Point,
         user_locations: Sequence[Point],
-        event_locations: Sequence[Point],
-    ) -> "TiledDistanceMatrix":
-        """A patched copy for one moved event (original untouched)."""
-        clone = self.copy()
-        clone.replace_event_location(
-            event, location, user_locations, event_locations
-        )
-        return clone
-
-    def replace_user_location(
-        self,
-        user: int,
-        location: Point,
         event_locations: Sequence[Point],
     ) -> None:
-        """Move one user: patch the coordinate, drop their tile row."""
-        self._user_coords[user] = (location.x, location.y)
-        self._invalidate(user_tile=int(user) // self._tile_users)
-
-    def with_appended_event(
-        self,
-        location: Point,
-        user_locations: Sequence[Point],
-        event_locations: Sequence[Point],
-    ) -> "TiledDistanceMatrix":
-        """An extended copy with one more event column (IEP ``NewEvent``).
+        """Grow by one event column (IEP ``NewEvent``).
 
         Only the trailing partial event-tile (whose width grows) is
-        dropped; full tiles carry over untouched.
+        dropped; full tiles stay resident.
         """
-        clone = self.copy()
-        old_events = clone.n_events
-        clone._event_coords = np.ascontiguousarray(
-            np.vstack(
-                [
-                    clone._event_coords,
-                    np.array(
-                        [(location.x, location.y)], dtype=np.float64
-                    ),
-                ]
-            )
+        old_events = self.n_events
+        self._event_coords = np.vstack(
+            [
+                self._event_coords,
+                np.array([(location.x, location.y)], dtype=np.float64),
+            ]
         )
-        if old_events % clone._tile_events != 0:
-            clone._invalidate(
-                event_tile=old_events // clone._tile_events
-            )
-        clone._event_event = None
-        return clone
+        if old_events % self._tile_events != 0:
+            self._invalidate(event_tile=old_events // self._tile_events)
+        self._event_event = None
+
+    def drop_last_event(self) -> None:
+        """Undo :meth:`append_event`."""
+        last = self.n_events - 1
+        self._event_coords = self._event_coords[:last].copy()
+        self._invalidate(event_tile=last // self._tile_events)
+        self._event_event = None

@@ -12,33 +12,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.geo.metrics import EUCLIDEAN
 from repro.geo.point import Point
 
-
-def euclidean(a: Point, b: Point) -> float:
-    """Euclidean distance between two points (the paper's travel metric)."""
-    return a.distance_to(b)
-
-
-def pairwise_distances(points: Sequence[Point]) -> np.ndarray:
-    """Dense symmetric matrix of Euclidean distances between ``points``."""
-    coords = np.array([(p.x, p.y) for p in points], dtype=float)
-    if coords.size == 0:
-        return np.zeros((0, 0))
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
-def cross_distances(
-    left: Sequence[Point], right: Sequence[Point]
-) -> np.ndarray:
-    """Dense ``len(left) x len(right)`` matrix of Euclidean distances."""
-    if not left or not right:
-        return np.zeros((len(left), len(right)))
-    a = np.array([(p.x, p.y) for p in left], dtype=float)
-    b = np.array([(p.x, p.y) for p in right], dtype=float)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+#: The paper's travel metric as plain functions.
+euclidean = EUCLIDEAN.distance
+pairwise_distances = EUCLIDEAN.pairwise
+cross_distances = EUCLIDEAN.cross
 
 
 class DistanceMatrix:
@@ -60,8 +40,6 @@ class DistanceMatrix:
         event_locations: Sequence[Point],
         metric=None,
     ) -> None:
-        from repro.geo.metrics import EUCLIDEAN
-
         self._metric = metric or EUCLIDEAN
         self._user_event = self._metric.cross(user_locations, event_locations)
         self._event_event = self._metric.pairwise(event_locations)
@@ -129,11 +107,8 @@ class DistanceMatrix:
         the blocks are shared-memory attachments of the parent's matrices,
         so the values are bit-identical to the parent's by construction.
         The blocks are adopted as-is (possibly read-only views); callers
-        that need to patch must :meth:`copy` first — exactly the contract
-        the ``with_*`` cache-preserving paths already follow.
+        that need to patch must :meth:`copy` first.
         """
-        from repro.geo.metrics import EUCLIDEAN
-
         if user_event.shape[1] != event_event.shape[0] or (
             event_event.shape[0] != event_event.shape[1]
         ):
@@ -148,12 +123,10 @@ class DistanceMatrix:
         return matrix
 
     def copy(self) -> "DistanceMatrix":
-        """An independent deep copy (used before in-place patching)."""
-        clone = object.__new__(DistanceMatrix)
-        clone._metric = self._metric
-        clone._user_event = self._user_event.copy()
-        clone._event_event = self._event_event.copy()
-        return clone
+        """An independent deep copy (``Instance.copy``)."""
+        return DistanceMatrix.from_matrices(
+            self._user_event.copy(), self._event_event.copy(), self._metric
+        )
 
     def submatrix(
         self,
@@ -173,13 +146,12 @@ class DistanceMatrix:
         # indexing type.
         user_ids = np.asarray(user_ids, dtype=np.intp)
         event_ids = np.asarray(event_ids, dtype=np.intp)
-        clone = object.__new__(DistanceMatrix)
-        clone._metric = self._metric
-        clone._user_event = self._user_event[np.ix_(user_ids, event_ids)].copy()
-        clone._event_event = self._event_event[
-            np.ix_(event_ids, event_ids)
-        ].copy()
-        return clone
+        # Fancy indexing copies: the blocks own their memory.
+        return DistanceMatrix.from_matrices(
+            self._user_event[np.ix_(user_ids, event_ids)],
+            self._event_event[np.ix_(event_ids, event_ids)],
+            self._metric,
+        )
 
     def replace_event_location(
         self,
@@ -205,69 +177,34 @@ class DistanceMatrix:
             self._event_event[:, event] = column
             self._event_event[event, :] = column
 
-    def replace_user_location(
+    def append_event(
         self,
-        user: int,
         location: Point,
+        user_locations: Sequence[Point],
         event_locations: Sequence[Point],
     ) -> None:
-        """Update the cached row after a user moves home (IEP update).
-
-        The row is recomputed as one vectorized ``metric.cross`` call,
-        matching how the full plane is built.  This keeps the plane write
-        inside the geo layer — call sites never touch the raw matrix
-        (lint rule RL008).
-        """
-        if event_locations:
-            self._user_event[user, :] = self._metric.cross(
-                [location], event_locations
-            )[0]
-
-    def with_event_location(
-        self,
-        event: int,
-        location: Point,
-        user_locations: Sequence[Point],
-        event_locations: Sequence[Point],
-    ) -> "DistanceMatrix":
-        """A patched copy for one moved event (the original is untouched).
-
-        This is the cache-preserving path of ``Instance.with_event``: the
-        unchanged ``(n - 1) x (m - 1)`` bulk is a memcpy instead of an
-        O(n * m) metric recompute.
-        """
-        clone = self.copy()
-        clone.replace_event_location(
-            event, location, user_locations, event_locations
-        )
-        return clone
-
-    def with_appended_event(
-        self,
-        location: Point,
-        user_locations: Sequence[Point],
-        event_locations: Sequence[Point],
-    ) -> "DistanceMatrix":
-        """An extended copy with one more event column (IEP ``NewEvent``).
+        """Grow both blocks by one event column (IEP ``NewEvent``).
 
         ``event_locations`` are the *existing* venues (the new one is only
-        ``location``); all previously cached distances are carried over.
+        ``location``); every previously cached distance is carried over.
         """
-        clone = object.__new__(DistanceMatrix)
-        clone._metric = self._metric
         if user_locations:
             new_user = self._metric.cross(user_locations, [location])
         else:
             new_user = np.zeros((0, 1))
-        clone._user_event = np.hstack([self._user_event, new_user])
         if event_locations:
-            column = self._metric.cross(event_locations, [location])
+            column = self._metric.cross(event_locations, [location])[:, 0]
         else:
-            column = np.zeros((0, 1))
+            column = np.zeros(0)
         m = self._event_event.shape[0]
         event_event = np.zeros((m + 1, m + 1))
         event_event[:m, :m] = self._event_event
-        event_event[:m, m] = column[:, 0]
-        event_event[m, :m] = column[:, 0]
-        clone._event_event = event_event
-        return clone
+        event_event[:m, m] = column
+        event_event[m, :m] = column
+        self._user_event = np.hstack([self._user_event, new_user])
+        self._event_event = event_event
+
+    def drop_last_event(self) -> None:
+        """Undo :meth:`append_event` (views of the grown blocks)."""
+        self._user_event = self._user_event[:, :-1]
+        self._event_event = self._event_event[:-1, :-1]

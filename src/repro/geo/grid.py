@@ -74,11 +74,12 @@ class SpatialCandidateIndex:
         tol: float = BUDGET_TOL,
     ) -> None:
         self._user_coords = np.asarray(user_coords, dtype=float).reshape(-1, 2)
-        self._budgets = np.asarray(budgets, dtype=float).reshape(-1)
-        self._event_coords = np.asarray(event_coords, dtype=float).reshape(
+        # Owned copies: the in-place patches write these.
+        self._budgets = np.array(budgets, dtype=float).reshape(-1)
+        self._event_coords = np.array(event_coords, dtype=float).reshape(
             -1, 2
         )
-        self._fees = np.asarray(fees, dtype=float).reshape(-1)
+        self._fees = np.array(fees, dtype=float).reshape(-1)
         self._metric = metric
         self._tol = tol
         self._build_grid()
@@ -238,99 +239,55 @@ class SpatialCandidateIndex:
         return int(sum(c.size for c in self._candidates))
 
     # ------------------------------------------------------------------ #
-    # Functional updates (mirror the Instance.with_* cache carries)
+    # In-place patches (the IEP operations, via ``Instance``)
     # ------------------------------------------------------------------ #
 
-    def with_event_location(
-        self, event: int, coord: np.ndarray
-    ) -> "SpatialCandidateIndex":
-        """A patched copy for one moved event: only its candidate set is
-        recomputed; the grid and every other event's set are shared."""
-        clone = self._shallow_clone()
-        coords = self._event_coords.copy()
-        coords[event] = np.asarray(coord, dtype=float)
-        clone._event_coords = coords
-        clone._candidates = list(self._candidates)
-        clone._candidates[event] = clone._compute_candidates(event)
-        clone._active_mask = None
-        return clone
+    def move_event(self, event: int, coord: np.ndarray) -> None:
+        """One event moved: only its candidate set is recomputed."""
+        self._event_coords[event] = coord
+        self._candidates[event] = self._compute_candidates(event)
+        self._active_mask = None
 
-    def with_appended_event(
-        self, coord: np.ndarray, fee: float
-    ) -> "SpatialCandidateIndex":
-        """An extended copy with one more event column (IEP ``NewEvent``)."""
-        clone = self._shallow_clone()
-        clone._event_coords = np.vstack(
-            [self._event_coords, np.asarray(coord, dtype=float)[None, :]]
-        )
-        clone._fees = np.append(self._fees, float(fee))
-        clone._candidates = list(self._candidates)
-        clone._candidates.append(
-            clone._compute_candidates(self.n_events)
-        )
-        clone._active_mask = None
-        return clone
+    def append_event(self, coord: np.ndarray, fee: float) -> None:
+        """One more event column (IEP ``NewEvent``)."""
+        self._event_coords = np.vstack([self._event_coords, coord[None, :]])
+        self._fees = np.append(self._fees, fee)
+        self._candidates.append(self._compute_candidates(self.n_events - 1))
+        self._active_mask = None
 
-    def with_user_budget(
-        self, user: int, budget: float
-    ) -> "SpatialCandidateIndex":
-        """A patched copy for one user's new budget (IEP ``BudgetChange``).
+    def drop_last_event(self) -> None:
+        """Undo :meth:`append_event`."""
+        self._event_coords = self._event_coords[:-1].copy()
+        self._fees = self._fees[:-1].copy()
+        self._candidates.pop()
+        self._active_mask = None
 
-        Exact in O(m): the user's feasibility against every event is
-        recomputed with the same ``cross_coords`` floats and the same
-        ``<= B + tol`` comparison the full rebuild uses, and their id is
-        inserted into / removed from each event's sorted candidate row
-        accordingly.  The cell-level max budget is kept an *upper bound*
-        (raised on increase, left stale-high on decrease) — a loose bound
-        only makes future per-event recomputes prune fewer cells, never
-        discard a feasible user, so later ``with_event_location`` /
-        ``with_appended_event`` patches stay exact.
-        """
+    def set_user_budget(self, user: int, budget: float) -> None:
+        """One user's new budget (IEP ``BudgetChange``), exact in O(m):
+        their feasibility against every event is recomputed with the
+        rebuild's own floats and comparison.  The cell-level max budget
+        only ever rises (a loose upper bound prunes fewer cells, never a
+        feasible user), so later moves and appends stay exact."""
         user = int(user)
         budget = float(budget)
-        clone = self._shallow_clone()
-        budgets = self._budgets.copy()
-        budgets[user] = budget
-        clone._budgets = budgets
+        self._budgets[user] = budget
         if self._cell_max_budget.size:
             rank = int(self._user_rank[user])
             cell = int(
                 np.searchsorted(self._cell_slices, rank, side="right") - 1
             )
             if budget > self._cell_max_budget[cell]:
-                raised = self._cell_max_budget.copy()
-                raised[cell] = budget
-                clone._cell_max_budget = raised
+                self._cell_max_budget[cell] = budget
         distances = self._metric.cross_coords(
             self._user_coords[user : user + 1], self._event_coords
         )[0]
         feasible = 2.0 * distances + self._fees <= budget + self._tol
-        clone._candidates = list(self._candidates)
         for event in range(self.n_events):
             row = self._candidates[event]
             pos = int(np.searchsorted(row, user))
             present = pos < row.size and row[pos] == user
             if feasible[event] and not present:
-                clone._candidates[event] = np.insert(row, pos, user)
+                self._candidates[event] = np.insert(row, pos, user)
             elif not feasible[event] and present:
-                clone._candidates[event] = np.delete(row, pos)
-        clone._active_mask = None
-        return clone
-
-    def _shallow_clone(self) -> "SpatialCandidateIndex":
-        clone = object.__new__(SpatialCandidateIndex)
-        clone._user_coords = self._user_coords
-        clone._budgets = self._budgets
-        clone._event_coords = self._event_coords
-        clone._fees = self._fees
-        clone._metric = self._metric
-        clone._tol = self._tol
-        clone._sorted_users = self._sorted_users
-        clone._user_rank = self._user_rank
-        clone._cell_slices = self._cell_slices
-        clone._cell_lo = self._cell_lo
-        clone._cell_hi = self._cell_hi
-        clone._cell_max_budget = self._cell_max_budget
-        clone._candidates = self._candidates
-        clone._active_mask = self._active_mask
-        return clone
+                self._candidates[event] = np.delete(row, pos)
+        self._active_mask = None

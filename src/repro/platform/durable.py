@@ -281,8 +281,7 @@ class DurablePlatform:
 
         A rejected operation (engine raises) is marked in the WAL so
         recovery will not replay it, and the rejection is re-raised with
-        the in-memory state provably untouched (see
-        :meth:`EBSNPlatform.submit`).
+        the in-memory state rolled back (see :meth:`EBSNPlatform.submit`).
         """
         seq = self._wal.append(operation)
         self._crash_point(CRASH_WAL_APPEND)
@@ -367,13 +366,13 @@ class DurablePlatform:
                 if seq <= snapshot.seq:
                     continue
                 try:
-                    result = engine.apply(instance, plan, operation)
+                    engine.apply_in_place(instance, plan, operation)
                 except REJECTION_ERRORS:
                     # The crash hit between apply-failure and the reject
-                    # marker; replay re-derives the same refusal.
+                    # marker; replay re-derives the same refusal (and the
+                    # journal has rolled the state back).
                     replay_rejected += 1
                     continue
-                instance, plan = result.instance, result.plan
                 replayed += 1
             rejected_skipped = len(recovery.rejected_seqs)
             # A torn tail can lose the WAL record of an operation whose

@@ -29,6 +29,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.fsio import atomic_write_text, fsync_dir
 from repro.core.iep.operations import (
     AtomicOperation,
@@ -49,50 +51,54 @@ from repro.timeline.interval import Interval
 _FORMAT_VERSION = 1
 
 
+def _scalar(value: object) -> object:
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def operation_to_dict(operation: AtomicOperation) -> dict:
     """One atomic operation as a JSON-ready tagged dictionary.
 
-    Every numeric field is coerced to a builtin ``int``/``float``:
-    fuzzer- and dataset-generated operations routinely carry numpy
-    scalars (``np.float64`` utilities and fees, ``np.int64`` ids), which
-    ``json.dumps`` rejects with a ``TypeError``.
+    Numpy scalars (``np.float64`` utilities, ``np.int64`` ids), which
+    ``json.dumps`` rejects, become builtin numbers; every other value is
+    written as submitted, so a malformed operation (a ``1.0`` id, an
+    infinite bound) stays malformed on replay and is rejected again.
     """
     if isinstance(operation, EtaDecrease):
-        return {"op": "eta_decrease", "event": int(operation.event),
-                "new_upper": int(operation.new_upper)}
+        return {"op": "eta_decrease", "event": _scalar(operation.event),
+                "new_upper": _scalar(operation.new_upper)}
     if isinstance(operation, EtaIncrease):
-        return {"op": "eta_increase", "event": int(operation.event),
-                "new_upper": int(operation.new_upper)}
+        return {"op": "eta_increase", "event": _scalar(operation.event),
+                "new_upper": _scalar(operation.new_upper)}
     if isinstance(operation, XiIncrease):
-        return {"op": "xi_increase", "event": int(operation.event),
-                "new_lower": int(operation.new_lower)}
+        return {"op": "xi_increase", "event": _scalar(operation.event),
+                "new_lower": _scalar(operation.new_lower)}
     if isinstance(operation, XiDecrease):
-        return {"op": "xi_decrease", "event": int(operation.event),
-                "new_lower": int(operation.new_lower)}
+        return {"op": "xi_decrease", "event": _scalar(operation.event),
+                "new_lower": _scalar(operation.new_lower)}
     if isinstance(operation, TimeChange):
-        return {"op": "time_change", "event": int(operation.event),
-                "start": float(operation.new_interval.start),
-                "end": float(operation.new_interval.end)}
+        return {"op": "time_change", "event": _scalar(operation.event),
+                "start": _scalar(operation.new_interval.start),
+                "end": _scalar(operation.new_interval.end)}
     if isinstance(operation, LocationChange):
-        return {"op": "location_change", "event": int(operation.event),
-                "x": float(operation.new_location.x),
-                "y": float(operation.new_location.y)}
+        return {"op": "location_change", "event": _scalar(operation.event),
+                "x": _scalar(operation.new_location.x),
+                "y": _scalar(operation.new_location.y)}
     if isinstance(operation, NewEvent):
-        return {"op": "new_event", "x": float(operation.location.x),
-                "y": float(operation.location.y),
-                "lower": int(operation.lower),
-                "upper": int(operation.upper),
-                "start": float(operation.interval.start),
-                "end": float(operation.interval.end),
-                "utilities": [float(u) for u in operation.utilities],
-                "fee": float(operation.fee)}
+        return {"op": "new_event", "x": _scalar(operation.location.x),
+                "y": _scalar(operation.location.y),
+                "lower": _scalar(operation.lower),
+                "upper": _scalar(operation.upper),
+                "start": _scalar(operation.interval.start),
+                "end": _scalar(operation.interval.end),
+                "utilities": [_scalar(u) for u in operation.utilities],
+                "fee": _scalar(operation.fee)}
     if isinstance(operation, UtilityChange):
-        return {"op": "utility_change", "user": int(operation.user),
-                "event": int(operation.event),
-                "new_value": float(operation.new_value)}
+        return {"op": "utility_change", "user": _scalar(operation.user),
+                "event": _scalar(operation.event),
+                "new_value": _scalar(operation.new_value)}
     if isinstance(operation, BudgetChange):
-        return {"op": "budget_change", "user": int(operation.user),
-                "new_budget": float(operation.new_budget)}
+        return {"op": "budget_change", "user": _scalar(operation.user),
+                "new_budget": _scalar(operation.new_budget)}
     raise TypeError(f"unknown operation type {type(operation).__name__}")
 
 

@@ -38,14 +38,15 @@ class PlatformLogEntry:
 
 
 class EBSNPlatform:
-    """A stateful event-planning service over one EBSN instance."""
+    """A stateful event-planning service over its own copy of one EBSN
+    instance, which every submitted operation patches in place."""
 
     def __init__(
         self,
         instance: Instance,
         solver: GEPCSolver | None = None,
     ) -> None:
-        self._instance = instance
+        self._instance = instance.copy()
         self._solver = solver or GreedySolver()
         self._engine = IEPEngine()
         self._plan: GlobalPlan | None = None
@@ -62,6 +63,9 @@ class EBSNPlatform:
 
     @property
     def instance(self) -> Instance:
+        """The live instance: the plan's own once there is a plan."""
+        if self._plan is not None:
+            return self._plan.instance
         return self._instance
 
     @property
@@ -91,15 +95,13 @@ class EBSNPlatform:
         Used by crash recovery (:class:`repro.platform.durable
         .DurablePlatform`) to install a snapshot + replayed plan without
         re-solving, and by tests that construct plans by hand.  The plan
-        must be built over this platform's instance.
+        becomes the platform's live state, its instance included.
         """
-        if plan.instance is not self._instance:
-            self._instance = plan.instance
         self._plan = plan
         self._last_utility = (
             float(utility)
             if utility is not None
-            else total_utility(self._instance, plan)
+            else total_utility(plan.instance, plan)
         )
 
     # ------------------------------------------------------------------ #
@@ -110,9 +112,9 @@ class EBSNPlatform:
         """Compute the day's global plan; returns its total utility."""
         obs = get_recorder()
         with obs.span("platform.publish"):
-            solution = self._solver.solve(self._instance)
+            solution = self._solver.solve(self.instance)
         self._plan = solution.plan
-        utility = total_utility(self._instance, self._plan)
+        utility = total_utility(self._plan.instance, self._plan)
         self._last_utility = utility
         obs.gauge("platform.published_utility", utility)
         return utility
@@ -126,17 +128,18 @@ class EBSNPlatform:
         return self.plan.attendees(event)
 
     def submit(self, operation: AtomicOperation) -> PlatformLogEntry:
-        """Apply one atomic operation incrementally and log its impact.
+        """Apply one atomic operation in place and log its impact.
 
         Rejection contract: when the engine refuses the operation (it
         raises ``ValueError``/``IndexError``/``KeyError`` from validation
         or an infeasible repair), the exception propagates and the
-        platform state is provably untouched — ``instance``, ``plan``,
-        ``_last_utility``, and the log are only assigned *after* a
-        successful apply (the engine never mutates its inputs).  Rejected
-        submissions are counted in :attr:`rejected_count` and the
-        ``platform.rejected`` observability counter so durable wrappers
-        can tombstone the operation in their WAL.
+        platform state is untouched — the engine's undo journal rolls
+        the instance and the plan back before re-raising, and
+        ``_last_utility`` and the log are only assigned after a
+        successful apply.  Rejected submissions are counted in
+        :attr:`rejected_count` and the ``platform.rejected``
+        observability counter so durable wrappers can tombstone the
+        operation in their WAL.
         """
         obs = get_recorder()
         # Timings must reach the log even with tracing off: fall back to a
@@ -147,21 +150,20 @@ class EBSNPlatform:
         # carry it forward instead of recomputing the full objective; the
         # one full computation happens on the first submit of a plan that
         # was installed without going through publish_plans().
+        plan = self.plan
         if self._last_utility is None:
-            self._last_utility = total_utility(self._instance, self.plan)
+            self._last_utility = total_utility(plan.instance, plan)
         before = self._last_utility
         span = timer.span("platform.submit")
         try:
             with span:
-                result = self._engine.apply(
-                    self._instance, self.plan, operation
+                result = self._engine.apply_in_place(
+                    plan.instance, plan, operation
                 )
         except (ValueError, IndexError, KeyError):
             self._rejected += 1
             obs.count("platform.rejected")
             raise
-        self._instance = result.instance
-        self._plan = result.plan
         after = result.utility
         self._last_utility = after
         obs.count("platform.operations")
@@ -190,9 +192,9 @@ class EBSNPlatform:
         # driver, which imports the platform package back.
         from repro.check.auditor import InvariantAuditor
 
-        violations = check_plan(self._instance, self.plan)
+        violations = check_plan(self.instance, self.plan)
         numbers = {
-            "utility": total_utility(self._instance, self.plan),
+            "utility": total_utility(self.instance, self.plan),
             "total_dif": float(sum(entry.dif for entry in self._log)),
             "operations": float(len(self._log)),
             "violations": float(len(violations)),

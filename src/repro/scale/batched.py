@@ -46,7 +46,7 @@ from repro.core.iep.operations import (
     XiIncrease,
 )
 from repro.core.model import Instance
-from repro.core.plan import GlobalPlan
+from repro.core.plan import GlobalPlan, PlanSummary
 from repro.obs import get_recorder
 from repro.platform.service import EBSNPlatform, PlatformLogEntry
 
@@ -280,6 +280,12 @@ class BatchedPlatform:
     def attendees_of(self, event: int) -> list[int]:
         with self._state_lock:
             return self._platform.attendees_of(event)
+
+    def plan_summary(self) -> PlanSummary:
+        """Every user's plan, walked under the state lock: each flush
+        patches the plan in place."""
+        with self._state_lock:
+            return PlanSummary.of(self._platform.plan)
 
     def snapshot(self) -> dict[str, float]:
         """A consistent audit snapshot (utility, violations, queue depth).

@@ -228,11 +228,12 @@ class ShardedSolver(GEPCSolver):
         self._pool: ProcessPoolExecutor | None = None  # guarded-by: _pool_lock
         self._pool_lock = threading.Lock()
         # Partition memo for repeated solves of the *same* instance
-        # object: partitioning is deterministic in (instance, shards,
-        # seed), so the cut can be reused — it is pure serial time on
-        # every solve otherwise.  Held via weakref so the solver never
-        # keeps a dead instance (and its planes) alive.
+        # object at the same revision: partitioning is deterministic in
+        # (instance data, shards, seed), so the cut can be reused — it is
+        # pure serial time on every solve otherwise.  Held via weakref so
+        # the solver never keeps a dead instance (and its planes) alive.
         self._partition_ref: "weakref.ref[Instance] | None" = None
+        self._partition_revision = -1
         self._partition_cached: Partition | None = None
 
     # ------------------------------------------------------------------ #
@@ -483,20 +484,22 @@ class ShardedSolver(GEPCSolver):
     def _partition_for(self, instance: Instance) -> Partition:
         """The (memoized) partition of ``instance``.
 
-        Safe because partitioning is a pure function of
-        ``(instance, shards, seed)`` and instances are immutable by
-        convention — the IEP operations produce *new* instances, which
-        miss the identity check and re-partition.
+        Safe because partitioning is a pure function of the instance's
+        data, ``shards`` and ``seed``, and every in-place patch (and
+        undo) of an instance bumps its ``revision``: a patched instance
+        misses the memo and re-partitions.
         """
         cached = (
             self._partition_cached
             if self._partition_ref is not None
             and self._partition_ref() is instance
+            and self._partition_revision == instance.revision
             else None
         )
         if cached is None:
             cached = partition_instance(instance, self._shards, self._seed or 0)
             self._partition_ref = weakref.ref(instance)
+            self._partition_revision = instance.revision
             self._partition_cached = cached
         return cached
 

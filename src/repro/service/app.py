@@ -32,7 +32,6 @@ import asyncio
 import json
 from typing import Any, Awaitable, Callable
 
-from repro.core.plan import PlanSummary
 from repro.obs import get_recorder
 from repro.scale.batched import BatchResult
 from repro.service.protocol import (
@@ -257,13 +256,9 @@ class PlanningApp:
         self, frame: dict[str, Any]
     ) -> dict[str, Any]:
         tenant = await self._published_tenant(frame)
-
-        def summarize() -> list[list[int]]:
-            summary = PlanSummary.of(tenant.platform.plan)
-            return [list(events) for events in summary.assignments]
-
+        summary = await self._read(tenant.platform.plan_summary)
         return {
-            "assignments": await self._read(summarize),
+            "assignments": [list(events) for events in summary.assignments],
             "seq": tenant.seq,
         }
 

@@ -10,9 +10,9 @@ The solvers need four views of the conflict relation:
   hit the paper's Table IV target of 0.25, and ``max_clique_upper_bound``,
   the ``maxCF`` quantity in the paper's complexity analysis).
 
-``patched_conflict_graph``/``patched_conflict_matrix`` rebuild only the one
-row/column an IEP ``TimeChange`` touches, sharing every untouched adjacency
-set with the source structure (read-only by convention).
+An IEP ``TimeChange`` recomputes only the one ``conflict_row`` it touches
+and patches it into the built structures in place
+(``patch_conflict_graph`` for the adjacency sets).
 """
 
 from __future__ import annotations
@@ -79,39 +79,21 @@ def conflict_row(intervals: Sequence[Interval], event: int) -> np.ndarray:
     return row
 
 
-def patched_conflict_graph(
-    adjacency: list[set[int]],
-    intervals: Sequence[Interval],
-    event: int,
-) -> list[set[int]]:
-    """``adjacency`` after ``event``'s interval changed, sharing structure.
+def patch_conflict_graph(
+    adjacency: list[set[int]], row: np.ndarray, event: int
+) -> None:
+    """Rewrite ``event``'s adjacency in place from its new conflict ``row``.
 
-    ``intervals`` must reflect the *new* state.  Only the changed event's
-    set and the sets of events entering/leaving its neighbourhood are fresh
-    objects; all other rows are the same (never-mutated) set instances.
+    Only the event's own set and the sets of events entering or leaving
+    its neighbourhood change.
     """
-    new_neighbours = set(np.flatnonzero(conflict_row(intervals, event)).tolist())
+    new_neighbours = set(np.flatnonzero(row).tolist())
     old_neighbours = adjacency[event]
-    patched = list(adjacency)
     for k in old_neighbours - new_neighbours:
-        patched[k] = adjacency[k] - {event}
+        adjacency[k].discard(event)
     for k in new_neighbours - old_neighbours:
-        patched[k] = adjacency[k] | {event}
-    patched[event] = new_neighbours
-    return patched
-
-
-def patched_conflict_matrix(
-    matrix: np.ndarray,
-    intervals: Sequence[Interval],
-    event: int,
-) -> np.ndarray:
-    """A copy of ``matrix`` with ``event``'s row/column recomputed."""
-    row = conflict_row(intervals, event)
-    patched = matrix.copy()
-    patched[event, :] = row
-    patched[:, event] = row
-    return patched
+        adjacency[k].add(event)
+    adjacency[event] = new_neighbours
 
 
 def conflict_ratio(intervals: Sequence[Interval]) -> float:

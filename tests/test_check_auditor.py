@@ -215,47 +215,41 @@ class TestCorruptionDetection:
 
 
 class TestInstanceUpdateAudit:
-    """The with_* shared-cache identity rules, checked through the
-    rebuilt-instance diff."""
+    """The in-place patches, checked through the rebuilt-instance diff."""
 
     def test_clean_functional_updates_audit_clean(self, solved):
         instance, _ = solved
         auditor = InvariantAuditor()
-        instance.distances  # materialise everything that can be carried
+        instance.distances  # materialise everything that can be patched
         instance.conflicts
         instance.conflict_matrix
-        updated = instance.with_event(
-            1, interval=Interval(40.0, 41.5)
-        )
-        assert auditor.audit_instance_update(instance, updated).ok
-        moved = instance.with_user(3, budget=instance.users[3].budget * 2)
-        assert auditor.audit_instance_update(instance, moved).ok
-        rescored = instance.with_utility(0, 0, 0.25)
-        assert auditor.audit_instance_update(instance, rescored).ok
+        instance.set_event(1, interval=Interval(40.0, 41.5))
+        assert auditor.audit_instance(instance).ok
+        instance.set_budget(3, instance.users[3].budget * 2)
+        assert auditor.audit_instance(instance).ok
+        instance.set_utility(0, 0, 0.25)
+        assert auditor.audit_instance(instance).ok
 
     def test_identity_sharing_rules(self, solved):
         instance, _ = solved
-        instance.distances
-        instance.conflicts
-        # Bound change: everything shared by identity.
-        wider = instance.with_event(0, upper=instance.events[0].upper + 1)
-        assert wider._distances is instance._distances
-        assert wider._conflicts is instance._conflicts
-        # Utility change: everything shared by identity.
-        rescored = instance.with_utility(1, 1, 0.75)
-        assert rescored._distances is instance._distances
-        assert rescored._conflicts is instance._conflicts
-        # Budget change: geometry shared by identity.
-        richer = instance.with_user(0, budget=1.0)
-        assert richer._distances is instance._distances
+        distances = instance.distances
+        conflicts = instance.conflicts
+        before = [set(row) for row in conflicts]
+        # Bound, utility and budget changes patch no cache at all.
+        instance.set_event(0, upper=instance.events[0].upper + 1)
+        instance.set_utility(1, 1, 0.75)
+        instance.set_budget(0, 1.0)
+        assert instance._distances is distances
+        assert instance._conflicts is conflicts
+        assert conflicts == before
 
     def test_corrupted_patch_is_caught(self, solved):
         instance, _ = solved
         instance.distances
-        updated = instance.with_event(1, interval=Interval(40.0, 41.5))
+        instance.set_event(1, interval=Interval(40.0, 41.5))
         # Sabotage the patched conflict row to emulate a broken patch.
-        updated.conflicts[1].symmetric_difference_update({0})
-        report = InvariantAuditor().audit_instance_update(instance, updated)
+        instance.conflicts[1].symmetric_difference_update({0})
+        report = InvariantAuditor().audit_instance(instance)
         assert any(
             m.kind == "instance_conflict_graph" for m in report.mismatches
         )

@@ -250,14 +250,14 @@ class TestTwinRejections:
         from repro.core.iep.engine import IEPEngine
         from repro.core.iep.operations import NewEvent
 
-        apply = IEPEngine.apply
+        apply = IEPEngine.apply_in_place
 
         def broken(self, instance, plan, operation):
             if isinstance(operation, NewEvent):
                 raise IndexError("injected engine bug")
             return apply(self, instance, plan, operation)
 
-        monkeypatch.setattr(IEPEngine, "apply", broken)
+        monkeypatch.setattr(IEPEngine, "apply_in_place", broken)
         summary = run_fuzz([0], FuzzConfig(preset=preset, operations=4))
         assert not summary.ok
         (violation,) = summary.violations

@@ -150,7 +150,8 @@ class TestAdmissionFees:
     def test_functional_updates_preserve_model(self):
         model = CostModel(metric=MANHATTAN, fees=np.array([1.0, 2.0]))
         instance = instance_with(model)
-        updated = instance.with_event(0, upper=5)
+        updated = instance.copy()
+        updated.set_event(0, upper=5)
         assert updated.cost_model.metric is MANHATTAN
         assert updated.cost_model.fee(1) == 2.0
 
@@ -158,12 +159,12 @@ class TestAdmissionFees:
         model = CostModel(fees=np.array([1.0, 2.0]))
         instance = instance_with(model)
         event = Event(2, Point(0, 0), 0, 1, Interval(5, 6))
-        grown = instance.with_new_event(event, np.zeros(2), fee=4.0)
-        assert grown.cost_model.fee(2) == 4.0
+        instance.append_event(event, np.zeros(2), fee=4.0)
+        assert instance.cost_model.fee(2) == 4.0
 
     def test_new_event_fee_on_feeless_model(self):
         instance = instance_with(CostModel())
         event = Event(2, Point(0, 0), 0, 1, Interval(5, 6))
-        grown = instance.with_new_event(event, np.zeros(2), fee=4.0)
-        assert grown.cost_model.fee(0) == 0.0
-        assert grown.cost_model.fee(2) == 4.0
+        instance.append_event(event, np.zeros(2), fee=4.0)
+        assert instance.cost_model.fee(0) == 0.0
+        assert instance.cost_model.fee(2) == 4.0

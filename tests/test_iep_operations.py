@@ -62,7 +62,9 @@ class TestValidation:
 
 class TestInstanceUpdates:
     def test_eta_decrease_applies(self, paper_instance):
-        updated = EtaDecrease(3, 1).apply_to_instance(paper_instance)
+        copy = paper_instance.copy()
+        updated = EtaDecrease(3, 1).apply_to_instance(copy)
+        assert updated is copy  # patched in place
         assert updated.events[3].upper == 1
         assert paper_instance.events[3].upper == 5
 

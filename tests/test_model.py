@@ -138,27 +138,33 @@ class TestRouteCost:
 
 
 class TestFunctionalUpdates:
+    """The in-place patches, applied to a copy: the original stays put."""
+
     def test_with_event_changes_only_target(self, paper_instance):
-        updated = paper_instance.with_event(1, upper=9)
+        updated = paper_instance.copy()
+        updated.set_event(1, upper=9)
         assert updated.events[1].upper == 9
         assert paper_instance.events[1].upper == 4  # original untouched
         assert updated.events[0].upper == paper_instance.events[0].upper
 
     def test_with_user(self, paper_instance):
-        updated = paper_instance.with_user(2, budget=99.0)
+        updated = paper_instance.copy()
+        updated.set_budget(2, 99.0)
         assert updated.users[2].budget == 99.0
         assert paper_instance.users[2].budget == 20.0
 
     def test_with_utility(self, paper_instance):
-        updated = paper_instance.with_utility(0, 0, 0.0)
+        updated = paper_instance.copy()
+        updated.set_utility(0, 0, 0.0)
         assert updated.utility[0, 0] == 0.0
         assert paper_instance.utility[0, 0] == 0.7
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            updated.set_utility(0, 0, 1.5)
 
     def test_with_new_event(self, paper_instance):
         event = Event(4, Point(0, 0), 1, 2, Interval(21, 22))
-        updated = paper_instance.with_new_event(
-            event, np.full(paper_instance.n_users, 0.5)
-        )
+        updated = paper_instance.copy()
+        updated.append_event(event, np.full(paper_instance.n_users, 0.5))
         assert updated.n_events == 5
         assert updated.utility.shape == (5, 5)
         assert paper_instance.n_events == 4
@@ -166,18 +172,38 @@ class TestFunctionalUpdates:
     def test_with_new_event_id_check(self, paper_instance):
         event = Event(9, Point(0, 0), 0, 1, Interval(21, 22))
         with pytest.raises(ValueError, match="new event id"):
-            paper_instance.with_new_event(
+            paper_instance.append_event(
                 event, np.zeros(paper_instance.n_users)
             )
 
     def test_updates_rebuild_caches(self, paper_instance):
-        moved = paper_instance.with_event(0, location=Point(50.0, 50.0))
+        paper_instance.distances  # built caches are patched, not dropped
+        paper_instance.conflicts
+        moved = paper_instance.copy()
+        moved.set_event(0, location=Point(50.0, 50.0))
         assert moved.distances.user_event(0, 0) == pytest.approx(
             math.hypot(50, 50)
         )
-        shifted = paper_instance.with_event(0, interval=Interval(16.0, 18.0))
+        shifted = paper_instance.copy()
+        shifted.set_event(0, interval=Interval(16.0, 18.0))
         assert shifted.events_conflict(0, 1)
         assert not shifted.events_conflict(0, 2)
+        assert paper_instance.distances.user_event(0, 0) != pytest.approx(
+            math.hypot(50, 50)
+        )
+
+    def test_every_patch_bumps_the_revision(self, paper_instance):
+        revisions = [paper_instance.revision]
+        paper_instance.set_event(1, upper=9)
+        paper_instance.set_budget(2, 99.0)
+        paper_instance.set_utility(0, 0, 0.5)
+        paper_instance.append_event(
+            Event(4, Point(0, 0), 0, 1, Interval(21, 22)),
+            np.zeros(paper_instance.n_users),
+        )
+        revisions.append(paper_instance.revision)
+        assert revisions == [0, 4]
+        assert paper_instance.copy().revision == 0
 
 
 class TestInstanceStats:

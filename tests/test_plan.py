@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.plan import GlobalPlan, PlanSummary
+from repro.core.plan import GlobalPlan, Journal, PlanSummary
 from repro.timeline.interval import Interval
 
 from tests.conftest import build_instance, random_instance
@@ -136,20 +136,35 @@ class TestCopyAndRebind:
     def test_rebound_recomputes_costs(self, paper_instance):
         plan = GlobalPlan(paper_instance)
         plan.add(0, 0)
-        moved = paper_instance.with_event(0, location=plan.instance.events[1].location)
-        rebound = plan.rebound_to(moved)
-        assert rebound.route_cost(0) == pytest.approx(
-            moved.route_cost(0, [0])
+        with Journal(plan) as journal:
+            paper_instance.set_event(
+                0, location=paper_instance.events[1].location
+            )
+            plan.follow(journal)
+        assert plan.route_cost(0) == pytest.approx(
+            paper_instance.route_cost(0, [0])
         )
-        assert rebound.attendance(0) == 1
+        assert plan.attendance(0) == 1
+        assert journal.dif() == 0
 
     def test_rebound_resorts_after_time_change(self, paper_instance):
         plan = GlobalPlan(paper_instance)
         plan.add(0, 0)  # e1 13:00
         plan.add(0, 1)  # e2 16:00
-        shifted = paper_instance.with_event(0, interval=Interval(21.0, 22.0))
-        rebound = plan.rebound_to(shifted)
-        assert rebound.user_plan(0) == [1, 0]
+        with Journal(plan) as journal:
+            paper_instance.set_event(0, interval=Interval(21.0, 22.0))
+            plan.follow(journal)
+        assert plan.user_plan(0) == [1, 0]
+        assert set(journal.before) == {0}
+
+    def test_rebound_copy_is_independent(self, paper_instance):
+        plan = GlobalPlan(paper_instance)
+        plan.add(0, 0)
+        copy = paper_instance.copy()
+        rebound = plan.rebound_to(copy)
+        assert rebound.instance is copy and rebound == plan
+        rebound.add(1, 0)
+        assert plan.attendance(0) == 1
 
     def test_rebound_rejects_user_change(self, paper_instance):
         plan = GlobalPlan(paper_instance)

@@ -231,56 +231,54 @@ class TestCacheConsistency:
 
 
 class TestCachePreservation:
-    """The with_* functional updates must reuse (or patch) cached geometry
-    and conflict structures instead of rebuilding them."""
+    """The in-place patches keep every built cache object and patch it to
+    exactly what a from-scratch rebuild computes."""
 
     def test_time_change_preserves_distance_identity(self):
         instance = make_instance(3)
         distances = instance.distances
-        shifted = instance.with_event(2, interval=Interval(40.0, 41.0))
-        assert shifted._distances is distances
-        # Only the touched conflict row may differ from a fresh build.
-        fresh = Instance(shifted.users, shifted.events, shifted.utility)
+        instance.conflicts
+        instance.conflict_matrix
+        instance.set_event(2, interval=Interval(40.0, 41.0))
+        assert instance._distances is distances
+        # Only the touched conflict row was rewritten: it must match a
+        # fresh build everywhere.
+        fresh = instance.rebuilt()
         for j in range(instance.n_events):
-            assert shifted.conflicts[j] == fresh.conflicts[j]
-        assert np.array_equal(shifted.conflict_matrix, fresh.conflict_matrix)
+            assert instance.conflicts[j] == fresh.conflicts[j]
+        assert np.array_equal(instance.conflict_matrix, fresh.conflict_matrix)
+        assert np.array_equal(instance.event_starts, fresh.event_starts)
 
     def test_budget_change_preserves_distance_identity(self):
         instance = make_instance(4)
         distances = instance.distances
         conflicts = instance.conflicts
-        richer = instance.with_user(1, budget=instance.users[1].budget + 5.0)
-        assert richer._distances is distances
-        assert richer._conflicts is conflicts
+        plane = served_user_event_plane(instance).copy()
+        instance.set_budget(1, instance.users[1].budget + 5.0)
+        assert instance._distances is distances
+        assert instance._conflicts is conflicts
+        assert np.array_equal(served_user_event_plane(instance), plane)
 
     def test_bound_change_preserves_everything(self):
         instance = make_instance(5)
         distances = instance.distances
-        conflicts = instance.conflicts
-        wider = instance.with_event(0, upper=instance.events[0].upper + 1)
-        assert wider._distances is distances
-        assert wider._conflicts is conflicts
+        conflicts = [set(row) for row in instance.conflicts]
+        instance.set_event(0, upper=instance.events[0].upper + 1)
+        assert instance._distances is distances
+        assert instance.conflicts == conflicts
+        assert instance.conflicts == instance.rebuilt().conflicts
 
     def test_location_change_patches_distances_correctly(self):
         instance = make_instance(6)
-        instance.distances  # materialise the cache that must get patched
-        moved = instance.with_event(3, location=Point(9.5, 0.5))
-        fresh = Instance(moved.users, moved.events, moved.utility)
-        np.testing.assert_allclose(
-            served_user_event_plane(moved),
+        distances = instance.distances  # the cache that must get patched
+        instance.set_event(3, location=Point(9.5, 0.5))
+        fresh = instance.rebuilt()
+        assert instance._distances is distances
+        assert np.array_equal(
+            served_user_event_plane(instance),
             served_user_event_plane(fresh),
         )
-        np.testing.assert_allclose(
-            moved.distances.event_event_matrix,
+        assert np.array_equal(
+            instance.distances.event_event_matrix,
             fresh.distances.event_event_matrix,
-        )
-
-    def test_user_relocation_patches_distances_correctly(self):
-        instance = make_instance(7)
-        instance.distances
-        moved = instance.with_user(2, location=Point(0.25, 8.0))
-        fresh = Instance(moved.users, moved.events, moved.utility)
-        np.testing.assert_allclose(
-            served_user_event_plane(moved),
-            served_user_event_plane(fresh),
         )

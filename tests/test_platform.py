@@ -178,9 +178,12 @@ class TestRejectionContract:
         platform = EBSNPlatform(instance, solver=GreedySolver(seed=6))
         published = platform.publish_plans()
         summary = PlanSummary.of(platform.plan)
+        held = platform.instance  # the platform's own copy of `instance`
+        events = list(held.events)
         with pytest.raises((ValueError, IndexError)):
             platform.submit(EtaDecrease(10**6, 1))  # no such event
-        assert platform.instance is instance
+        assert platform.instance is held
+        assert held.events == events
         assert PlanSummary.of(platform.plan) == summary
         assert platform.log == []
         assert platform.rejected_count == 1

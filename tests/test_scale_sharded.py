@@ -118,3 +118,42 @@ def test_close_is_idempotent():
     solver = ShardedSolver(shards=2, workers=2, seed=0)
     solver.close()
     solver.close()
+
+
+def _same_partition(first, second) -> bool:
+    return (
+        (first.event_shard == second.event_shard).all()
+        and (first.user_shard == second.user_shard).all()
+        and first.fringe_users == second.fringe_users
+    )
+
+
+def test_partition_memo_follows_in_place_patches():
+    """The memo must miss once the live instance is patched in place."""
+    from repro.core.iep.operations import LocationChange, NewEvent
+    from repro.geo.point import Point
+    from repro.platform.service import EBSNPlatform
+    from repro.timeline.interval import Interval
+
+    solver = ShardedSolver(shards=3, workers=1, seed=0)
+    platform = EBSNPlatform(make_city("beijing", scale=0.3), solver=solver)
+    platform.publish_plans()
+    instance = platform.instance
+    before = solver.partition(instance)
+    assert solver.partition(instance) is before  # memo hit while unpatched
+
+    far = Point(-1e4, -1e4)
+    platform.submit(LocationChange(0, far))
+    platform.submit(
+        NewEvent(far, 0, 3, Interval(1.0, 2.0), (0.5,) * instance.n_users)
+    )
+    assert platform.instance is instance  # patched in place
+    patched = solver.partition(instance)
+    fresh = ShardedSolver(shards=3, workers=1, seed=0).partition(
+        instance.copy()
+    )
+    assert patched is not before
+    assert len(patched.event_shard) == instance.n_events
+    assert _same_partition(patched, fresh)
+    solution = solver.solve(instance)
+    assert not check_plan(instance, solution.plan)

@@ -8,6 +8,7 @@ isolation is absolute: a tenant that received no traffic is bit-for-bit
 untouched.
 """
 
+import sys
 import threading
 
 import pytest
@@ -239,3 +240,76 @@ class TestBackpressure:
         assert PlanSummary.of(serial.plan).assignments == tuple(
             tuple(events) for events in served
         )
+
+
+class TestLockedReads:
+    def test_plan_summaries_interleaved_with_writes_are_committed(
+        self, service
+    ):
+        # Plans are patched in place by every flush, so a summary read
+        # must never see half a frame: each one equals a state the
+        # tenant committed between frames.
+        tenant = "city-7"
+        spec = {**spec_of(tenant), "users": 300, "events": 12}
+        with ServiceClient(service.host, service.port) as client:
+            client.create_tenant(spec)
+            client.publish(tenant)
+        twin = EBSNPlatform(
+            generate_ebsn(
+                MeetupConfig(
+                    n_users=300, n_events=12, n_groups=4,
+                    conflict_ratio=0.35, seed=spec["seed"],
+                )
+            ),
+            solver=GreedySolver(seed=spec["seed"]),
+        )
+        twin.publish_plans()
+        committed = {PlanSummary.of(twin.plan).assignments}
+        done = threading.Event()
+        seen: list[tuple] = []
+        errors: list[BaseException] = []
+
+        def read() -> None:
+            try:
+                with ServiceClient(service.host, service.port) as reader:
+                    while not done.is_set():
+                        seen.append(
+                            tuple(
+                                tuple(events)
+                                for events in reader.plan_summary(tenant)
+                            )
+                        )
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
+
+        readers = [
+            threading.Thread(target=read, daemon=True) for _ in range(3)
+        ]
+        # Switch threads often, so that an unlocked read would interleave
+        # with a flush.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        for thread in readers:
+            thread.start()
+        stream = OperationStream(seed=4242)
+        try:
+            with ServiceClient(service.host, service.port) as writer:
+                for _ in range(30):
+                    operations = list(
+                        stream.mixed(twin.instance, twin.plan, 3)
+                    )
+                    result = writer.submit(tenant, operations)
+                    assert result["violations"] == 0
+                    for operation in writer.oplog(tenant)[
+                        len(twin.log):
+                    ]:
+                        twin.submit(operation)
+                    committed.add(PlanSummary.of(twin.plan).assignments)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:3]
+        assert len(seen) > 30
+        assert set(seen) <= committed

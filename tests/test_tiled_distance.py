@@ -75,29 +75,25 @@ def test_tiled_identity_survives_subinstance(seed):
 def test_tiled_identity_survives_with_event_relocation():
     dense, tiled = _twin_instances(5, n_users=17, n_events=5)
     moved = Point(99.0, -3.5)
-    _assert_identical_serving(
-        dense.with_event(2, location=moved),
-        tiled.with_event(2, location=moved),
-    )
+    dense.set_event(2, location=moved)
+    tiled.set_event(2, location=moved)
+    _assert_identical_serving(dense, tiled)
 
 
-def test_tiled_identity_survives_with_user_relocation_and_budget():
+def test_tiled_identity_survives_budget_change():
     dense, tiled = _twin_instances(6, n_users=17, n_events=5)
-    moved = Point(-7.0, 42.0)
-    _assert_identical_serving(
-        dense.with_user(4, location=moved, budget=99.0),
-        tiled.with_user(4, location=moved, budget=99.0),
-    )
+    dense.set_budget(4, 99.0)
+    tiled.set_budget(4, 99.0)
+    _assert_identical_serving(dense, tiled)
 
 
 def test_tiled_identity_survives_with_new_event():
     dense, tiled = _twin_instances(8, n_users=17, n_events=5)
     new = Event(5, Point(4.5, 4.5), 0, 3, Interval(50.0, 51.0))
     utilities = np.linspace(0.0, 1.0, dense.n_users)
-    _assert_identical_serving(
-        dense.with_new_event(new, utilities),
-        tiled.with_new_event(new, utilities),
-    )
+    dense.append_event(new, utilities)
+    tiled.append_event(new, utilities)
+    _assert_identical_serving(dense, tiled)
 
 
 def test_float32_tiles_serve_rounded_dense_values():
@@ -133,20 +129,12 @@ def test_location_patch_invalidates_covering_tiles():
     ec = rng.uniform(0, 10, (5, 2))
     t = TiledDistanceMatrix(uc, ec, EUCLIDEAN, tile_users=4, tile_events=2)
     t.user_event_rows(np.arange(16))  # materialise everything
-    moved_user = np.array([[55.0, 55.0]])
-    t.replace_user_location(0, Point(55.0, 55.0), [])
-    uc2 = uc.copy()
-    uc2[0] = moved_user
-    assert np.array_equal(
-        t.user_event_rows(np.arange(16)),
-        EUCLIDEAN.cross_coords(uc2, ec),
-    )
     t.replace_event_location(3, Point(-1.0, -2.0), [], [])
     ec2 = ec.copy()
     ec2[3] = (-1.0, -2.0)
     assert np.array_equal(
         t.user_event_rows(np.arange(16)),
-        EUCLIDEAN.cross_coords(uc2, ec2),
+        EUCLIDEAN.cross_coords(uc, ec2),
     )
     assert np.array_equal(
         t.event_event_matrix, EUCLIDEAN.cross_coords(ec2, ec2)
@@ -304,7 +292,8 @@ def test_with_user_budget_patch_matches_fresh_rebuild(budget):
         index = instance.candidate_index
         assert index is not None
         user = 31
-        patched = index.with_user_budget(user, budget)
+        index.set_user_budget(user, budget)
+        patched = index
         fresh_budgets = np.array(
             [u.budget for u in instance.users], dtype=float
         )
@@ -328,9 +317,10 @@ def test_with_user_budget_rides_through_instance_update():
         instance = random_instance(
             9, n_users=40, n_events=5, budget_range=(2.0, 9.0)
         )
-        instance.candidate_index  # warm the index so the patch path runs
-        updated = instance.with_user(11, budget=100.0)
-        index = updated.candidate_index
+        index = instance.candidate_index  # warm it so the patch path runs
+        instance.set_budget(11, 100.0)
+        updated = instance
+        assert updated.candidate_index is index
     expected = _bruteforce_candidates(updated)
     for event in range(updated.n_events):
         assert np.array_equal(index.candidate_users(event), expected[event])
@@ -341,21 +331,19 @@ def test_candidate_index_tracks_event_relocation_and_append():
         instance = random_instance(
             12, n_users=40, n_events=5, budget_range=(2.0, 9.0)
         )
-        instance.candidate_index
-        moved = instance.with_event(2, location=Point(0.0, 0.0))
-        expected = _bruteforce_candidates(moved)
-        index = moved.candidate_index
-        for event in range(moved.n_events):
+        index = instance.candidate_index
+        instance.set_event(2, location=Point(0.0, 0.0))
+        expected = _bruteforce_candidates(instance)
+        assert instance.candidate_index is index
+        for event in range(instance.n_events):
             assert np.array_equal(
                 index.candidate_users(event), expected[event]
             )
         new = Event(5, Point(5.0, 5.0), 0, 2, Interval(60.0, 61.0))
-        appended = moved.with_new_event(
-            new, np.linspace(0.0, 1.0, moved.n_users)
-        )
-        expected = _bruteforce_candidates(appended)
-        index = appended.candidate_index
-        for event in range(appended.n_events):
+        instance.append_event(new, np.linspace(0.0, 1.0, instance.n_users))
+        expected = _bruteforce_candidates(instance)
+        assert instance.candidate_index is index
+        for event in range(instance.n_events):
             assert np.array_equal(
                 index.candidate_users(event), expected[event]
             )
