@@ -8,7 +8,8 @@ state honest:
 
 * :class:`InvariantAuditor` recomputes every cached quantity from scratch
   and diffs it against the live caches, producing structured
-  :class:`CacheMismatch` reports;
+  :class:`CacheMismatch` reports; :func:`exhaustive_check_plan` is the
+  unscreened walk ``check_plan`` must equal;
 * :func:`shadow_checks` (or the ``REPRO_SHADOW_CHECKS`` env var) wraps
   ``GlobalPlan.add``/``remove`` and ``IEPEngine.apply`` so every mutation
   is audited as it happens;
@@ -30,7 +31,12 @@ state honest:
 See ``docs/correctness.md`` for the full guide.
 """
 
-from repro.check.auditor import AuditReport, CacheMismatch, InvariantAuditor
+from repro.check.auditor import (
+    AuditReport,
+    CacheMismatch,
+    InvariantAuditor,
+    exhaustive_check_plan,
+)
 from repro.check.fuzz import (
     PRESETS,
     CrashScenario,
@@ -76,6 +82,7 @@ __all__ = [
     "ShadowStats",
     "Twin",
     "TwinState",
+    "exhaustive_check_plan",
     "fuzz_seed",
     "lockdep_checks",
     "maybe_lockdep",

@@ -18,6 +18,10 @@ quantity from the raw problem data and diffs it against the live caches:
 
 Every divergence is a structured :class:`CacheMismatch`; the auditor never
 raises on its own (callers — shadow mode, the fuzzer, tests — decide).
+
+:func:`exhaustive_check_plan` is the oracle of
+:func:`repro.core.constraints.check_plan`: the per-user scalar check run
+over every user, then the event checks.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.constraints import ConstraintViolation, check_events, check_user
 from repro.core.model import Instance
 from repro.core.plan import GlobalPlan
 from repro.core.tolerances import AUDIT_FLOAT_TOL, BUDGET_TOL
@@ -546,3 +551,16 @@ class InvariantAuditor:
                         detail="attendee set diverged from membership",
                     )
                 )
+
+
+def exhaustive_check_plan(
+    instance: Instance, plan: GlobalPlan, enforce_lower: bool = True
+) -> list[ConstraintViolation]:
+    """:func:`~repro.core.constraints.check_plan` without its screen:
+    every user through the scalar check, in order, then the events.
+    ``check_plan`` must return exactly this list."""
+    violations: list[ConstraintViolation] = []
+    for user in range(instance.n_users):
+        violations.extend(check_user(instance, plan, user))
+    violations.extend(check_events(instance, plan, enforce_lower))
+    return violations

@@ -25,8 +25,9 @@ against its own oracles.
     then apply) on its own state, against the twin's in-place path.
     After every operation: utility, plan, ``dif`` and route costs equal
     to the twin's to the bit; the full :class:`InvariantAuditor`;
-    ``check_plan``; incremental vs from-scratch rebuild (utility and
-    feasibility verdict); vectorized kernel vs the scalar cold-cache
+    ``check_plan``, equal to :func:`exhaustive_check_plan`; incremental
+    vs from-scratch rebuild (utility and feasibility verdict);
+    vectorized kernel vs the scalar cold-cache
     fallback (cost and mask); route-cost drift, re-pinned above
     ``ROUTE_DRIFT_REPIN_TOL``.  Before each operation, the rollback
     probe fails it in place on copies right after its repair's first
@@ -68,7 +69,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.check.auditor import AuditReport, CacheMismatch, InvariantAuditor
+from repro.check.auditor import (
+    AuditReport,
+    CacheMismatch,
+    InvariantAuditor,
+    exhaustive_check_plan,
+)
 from repro.check.lockdep import LockDep, LockDepSummary, LoopWatchdog, maybe_lockdep
 from repro.core import plan as plan_module
 from repro.core.constraints import check_plan
@@ -508,7 +514,14 @@ def _memory_leg(
         )
         report.expect("twin_state", observed, state, label)
         report.audited(auditor.audit(plan))
-        for violation in check_plan(instance, plan):
+        violations = check_plan(instance, plan)
+        report.expect(
+            "check_plan_vs_exhaustive",
+            violations,
+            exhaustive_check_plan(instance, plan),
+            label,
+        )
+        for violation in violations:
             report.violations.append(f"{label}: {violation}")
         _check_differential(instance, plan, step, report)
         _measure_drift(plan, report)

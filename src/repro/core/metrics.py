@@ -8,6 +8,8 @@ one, summed over users.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.model import Instance
 from repro.core.plan import GlobalPlan
 
@@ -22,19 +24,16 @@ def user_utility(instance: Instance, plan: GlobalPlan, user: int) -> float:
 def total_utility(instance: Instance, plan: GlobalPlan) -> float:
     """``U_P``: the global utility of ``plan`` (Definition 1 objective).
 
-    Reads the plan lists in place (no per-user copies) and skips empty
-    plans outright — at soak scale most users hold none, and this runs
-    once per applied operation.
+    One gather over the plan's flat view (this runs once per applied
+    operation).  ``np.cumsum`` adds strictly left to right, users in
+    order and each plan in list order, so the total is bit-identical to
+    a Python ``sum`` over the same sequence; ``np.sum`` adds pairwise
+    and would not be.
     """
-    utility = instance.utility
-    return float(
-        sum(
-            utility[user, event]
-            for user, events in enumerate(plan._plans)
-            if events
-            for event in events
-        )
-    )
+    owners, events, _ = plan.flat()
+    if not events.size:
+        return 0.0
+    return float(np.cumsum(instance.utility[owners, events])[-1])
 
 
 def dif(old: GlobalPlan, new: GlobalPlan) -> int:

@@ -29,6 +29,7 @@ apply back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
@@ -96,6 +97,23 @@ class GlobalPlan:
     def size(self) -> int:
         """Total number of (user, event) assignments."""
         return sum(len(plan) for plan in self._plans)
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every assignment as flat arrays ``(owners, events, lengths)``.
+
+        ``events`` concatenates the plan lists in user order, each in its
+        own list order; ``owners[k]`` is the user holding ``events[k]``
+        and ``lengths[i]`` the length of user ``i``'s list.  Built fresh
+        per call (nothing to invalidate): the whole-plan checks gather
+        over it instead of walking users in Python.
+        """
+        plans = self._plans
+        lengths = np.fromiter(map(len, plans), dtype=np.intp, count=len(plans))
+        events = np.fromiter(
+            chain.from_iterable(plans), dtype=np.intp, count=int(lengths.sum())
+        )
+        owners = np.repeat(np.arange(len(plans), dtype=np.intp), lengths)
+        return owners, events, lengths
 
     def assigned_events(self) -> set[int]:
         """Events with at least one attendee."""

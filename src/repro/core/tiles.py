@@ -26,10 +26,10 @@ strategy.
 The dense plane property deliberately **raises** here: any call site that
 still reaches for ``user_event_matrix`` under the tiled backend is a
 scaling bug, and lint rule RL008 flags such sites statically.  Serving
-goes through :meth:`user_event`, :meth:`user_event_row`, and
-:meth:`user_event_rows`.  The event-event block is ``O(m^2)`` — events
-number thousands where users number millions — and stays dense (built
-lazily on first touch).
+goes through :meth:`user_event`, :meth:`user_event_pairs`,
+:meth:`user_event_row`, and :meth:`user_event_rows`.  The event-event
+block is ``O(m^2)`` — events number thousands where users number
+millions — and stays dense (built lazily on first touch).
 
 Backend selection (``REPRO_DISTANCE=dense|tiled``) follows the
 ``repro.core.kernel`` strategy-registry idiom: an env default, a process
@@ -469,6 +469,25 @@ class TiledDistanceMatrix:
         if np.dtype(self._dtype) != np.float64:
             block = block.astype(self._dtype)
         return block
+
+    def user_event_pairs(
+        self,
+        users: Sequence[int] | np.ndarray,
+        events: Sequence[int] | np.ndarray,
+    ) -> np.ndarray:
+        """Distances of the pairs ``(users[k], events[k])`` (fresh float64
+        vector), each computed from the coordinates and rounded through
+        the tile dtype: the value :meth:`user_event` serves for the pair.
+        Builds no tile and counts no scalar serve — one elementwise pass
+        however the pairs scatter over the tiles.
+        """
+        values = self._metric.pair_coords(
+            self._user_coords[np.asarray(users, dtype=np.intp)],
+            self._event_coords[np.asarray(events, dtype=np.intp)],
+        )
+        if np.dtype(self._dtype) != np.float64:
+            values = values.astype(self._dtype).astype(np.float64)
+        return values
 
     def user_event_row(self, user: int) -> np.ndarray:
         """All event distances for one user (fresh float64, read-only).

@@ -94,6 +94,17 @@ class DistanceMatrix:
         ids = np.asarray(users, dtype=np.intp).reshape(-1)
         return self._user_event[ids]
 
+    def user_event_pairs(
+        self,
+        users: Sequence[int] | np.ndarray,
+        events: Sequence[int] | np.ndarray,
+    ) -> np.ndarray:
+        """Distances of the pairs ``(users[k], events[k])`` (fresh float64
+        vector): the value :meth:`user_event` serves for each pair."""
+        return self._user_event[
+            np.asarray(users, dtype=np.intp), np.asarray(events, dtype=np.intp)
+        ]
+
     @classmethod
     def from_matrices(
         cls,

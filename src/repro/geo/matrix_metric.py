@@ -108,6 +108,23 @@ class MatrixMetric:
             "rows against event rows"
         )
 
+    def pair_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Coded lookups of the row pairs ``(a[k], b[k])`` — user rows
+        against event rows, or event rows against event rows."""
+        a = np.asarray(a, dtype=float).reshape(-1, 2)
+        b = np.asarray(b, dtype=float).reshape(-1, 2)
+        rows = a[:, 0].astype(int)
+        cols = b[:, 0].astype(int)
+        if not (b[:, 1] == EVENT_SIDE).all():
+            raise ValueError("pair_coords expects event rows on the right")
+        if (a[:, 1] == USER_SIDE).all():
+            return self._user_event[rows, cols]
+        if (a[:, 1] == EVENT_SIDE).all():
+            return self._event_event[rows, cols]
+        raise ValueError(
+            "pair_coords expects user rows, or event rows, on the left"
+        )
+
     def scalar_coords(
         self, ax: float, ay: float, bx: float, by: float
     ) -> float:

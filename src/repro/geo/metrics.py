@@ -48,6 +48,16 @@ class TravelMetric(Protocol):
         """
         ...
 
+    def pair_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Distances of the row pairs ``(a[k], b[k])`` of two ``(k, 2)``
+        coordinate arrays.
+
+        MUST equal the corresponding ``cross_coords`` cells bit for bit:
+        the same elementwise operations in the same order, evaluated
+        once per pair instead of over the whole block.
+        """
+        ...
+
     def rect_lower_bound(
         self, point: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> np.ndarray:
@@ -101,6 +111,10 @@ class EuclideanMetric:
         diff = a[:, None, :] - b[None, :, :]
         return np.sqrt((diff * diff).sum(axis=2))
 
+    def pair_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        diff = a - b
+        return np.sqrt((diff * diff).sum(axis=1))
+
     def rect_lower_bound(
         self, point: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> np.ndarray:
@@ -147,6 +161,9 @@ class ManhattanMetric:
     def cross_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = np.abs(a[:, None, :] - b[None, :, :])
         return diff.sum(axis=2)
+
+    def pair_coords(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.abs(a - b).sum(axis=1)
 
     def rect_lower_bound(
         self, point: np.ndarray, lo: np.ndarray, hi: np.ndarray

@@ -189,9 +189,9 @@ class DurablePlatform:
     """A crash-safe :class:`EBSNPlatform`: WAL + snapshots + recovery.
 
     Mirrors the in-memory platform's surface (``publish_plans``,
-    ``submit``, ``plan_for``, ``attendees_of``, ``audit``, ``log``) so it
-    drops into :class:`repro.scale.BatchedPlatform` via its ``platform``
-    parameter.  Single-threaded like its inner platform; concurrency is
+    ``submit``, ``plan_for``, ``attendees_of``, ``audit``, ``log``,
+    ``utility``) so it drops into :class:`repro.scale.BatchedPlatform`
+    via its ``platform`` parameter.  Single-threaded like its inner platform; concurrency is
     the batching front-end's job.
     """
 
@@ -239,6 +239,10 @@ class DurablePlatform:
     @property
     def log(self) -> list[PlatformLogEntry]:
         return self._platform.log
+
+    @property
+    def utility(self) -> float:
+        return self._platform.utility
 
     @property
     def seq(self) -> int:
@@ -405,7 +409,7 @@ class DurablePlatform:
                 replay_rejected=replay_rejected,
                 truncated_records=recovery.truncated_records,
                 truncated_bytes=recovery.truncated_bytes,
-                utility=platform.audit()["utility"],
+                utility=platform.utility,
                 audit_checks=audit.checks,
                 mismatches=[str(m) for m in audit.mismatches],
                 violations=[str(v) for v in violations],

@@ -83,6 +83,16 @@ class EBSNPlatform:
         return self._plan is not None
 
     @property
+    def utility(self) -> float:
+        """Total utility of the current plan: the value carried across
+        publish/submit, computed once if a plan was installed without
+        one.  Costs no whole-plan check, unlike :meth:`audit`."""
+        plan = self.plan
+        if self._last_utility is None:
+            self._last_utility = total_utility(plan.instance, plan)
+        return self._last_utility
+
+    @property
     def rejected_count(self) -> int:
         """How many submitted operations the engine refused to apply."""
         return self._rejected
@@ -147,13 +157,9 @@ class EBSNPlatform:
         timer = obs if obs.enabled else Recorder()
         # `utility_before` is by definition the previous entry's
         # `utility_after` (state only changes through publish/submit), so
-        # carry it forward instead of recomputing the full objective; the
-        # one full computation happens on the first submit of a plan that
-        # was installed without going through publish_plans().
+        # carry it forward instead of recomputing the full objective.
         plan = self.plan
-        if self._last_utility is None:
-            self._last_utility = total_utility(plan.instance, plan)
-        before = self._last_utility
+        before = self.utility
         span = timer.span("platform.submit")
         try:
             with span:

@@ -379,11 +379,7 @@ class BatchedPlatform:
                 self._platform.instance, self._platform.plan
             )
             result.violations = len(violations)
-            result.utility = (
-                result.applied[-1].utility_after
-                if result.applied
-                else self._platform.audit()["utility"]
-            )
+            result.utility = self._platform.utility
             with self._queue_lock:
                 self._stats["folded"] += result.folded
                 self._stats["applied"] += len(result.applied)
