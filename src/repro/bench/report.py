@@ -267,26 +267,32 @@ def _kernel_suite(
 def _sharded(
     seed: int, *, users: int, events: int, groups: int, clusters: int
 ) -> list[dict]:
-    """greedy-mono vs sharded-w1 vs sharded-w4 on one fixed partition.
+    """greedy-mono vs sharded-w1 vs sharded-w2 on one fixed partition.
 
     Both sharded solvers are warmed up with one unmeasured solve each, so
     the measured runs see steady state: live pool processes (fork +
     import cost), warmed instance planes, and the memoized partition.
-    The comparison is then pure shard *work* — slice + solve + merge —
-    which is exactly what the speedup gate is about.
+    The comparison is then pure shard *work* — pickle + solve + merge.
 
-    ``min_cores`` is ``workers + 1``: the parent process partitions,
-    dispatches, and merges while the workers solve, so a machine with
-    exactly ``workers`` cores oversubscribes and measures contention,
-    not parallelism.
+    Two speedup gates: sharding itself (``sharded-w1`` against
+    ``greedy-mono``) fires on every runner; the two-worker pool against
+    one worker needs two cores.
     """
     from repro.datasets import MeetupConfig, generate_ebsn
     from repro.scale import ShardedSolver
 
-    shards, workers = 8, 4
+    shards, workers = 8, 2
     # Allowed one-sided utility gap of the sharded entries below
     # greedy-mono (boundary loss grows with shard count and city size).
     utility_gap_rtol = 0.12
+    # greedy-mono / sharded-w1 wall time over 6 alternating rounds on a
+    # 2-vCPU container: median 7.4x, worst 6.3x.  4x keeps headroom for
+    # a noisy runner.
+    min_sharding_speedup = 4.0
+    # Warm w1/w2 wall-time ratio over 24 alternating rounds on a 2-vCPU
+    # container: median 1.25x, worst 1.01x.  The floor sits just below
+    # the worst round: two workers must never lose to one.
+    min_pool_speedup = 1.0
     instance = generate_ebsn(
         MeetupConfig(
             n_users=users,
@@ -315,14 +321,19 @@ def _sharded(
             "rtol": utility_gap_rtol,
         }
         entries.append(entry)
-    parallel = entries[-1]
+    serial, parallel = entries[1], entries[2]
+    serial["min_speedup"] = {
+        "vs": "greedy-mono",
+        "factor": min_sharding_speedup,
+        "min_cores": 1,
+    }
     # Same partition, ordered merge: worker parallelism is a pure
-    # performance knob, so w4 must reproduce w1's plan bit-for-bit.
+    # performance knob, so w2 must reproduce w1's plan bit-for-bit.
     parallel["equal_utility_vs"] = {"vs": "sharded-w1"}
     parallel["min_speedup"] = {
         "vs": "sharded-w1",
-        "factor": 3.0,
-        "min_cores": workers + 1,
+        "factor": min_pool_speedup,
+        "min_cores": workers,
     }
     return entries
 
@@ -575,10 +586,10 @@ PRESETS: dict[str, Workload] = {
     "kernel": _on_city("vancouver", 1.0, _kernel_suite, operations=30),
     # Shard-parallel scaling (docs/scaling.md).  The workload is
     # synthetic because real cities cap at their survey population: the
-    # w4-vs-w1 speedup gate needs per-shard solve times that dwarf pool
+    # w2-vs-w1 speedup gate needs per-shard solve times that dwarf pool
     # dispatch, which Vancouver (2012 users) cannot provide.  Eight
-    # shards over four workers double as load balancing — k-means shards
-    # are uneven, and two small shards per worker pack far tighter than
+    # shards over two workers double as load balancing — k-means shards
+    # are uneven, and four small shards per worker pack far tighter than
     # one large one.
     "sharded": Workload(
         "meetup-synthetic",

@@ -32,15 +32,17 @@ against its own oracles.
     ``ROUTE_DRIFT_REPIN_TOL``.  Before each operation, the rollback
     probe fails it in place on copies right after its repair's first
     plan mutation: the state must come back exactly.  On the final
-    state: kernel-strategy and shared-plane audits.
+    state: the kernel-strategy audit.
 ``sharded``
     :class:`~repro.scale.BatchedPlatform` fed the stream in batches:
     ``check_plan`` once per flush (the flush's own violation count must
     agree), the twin's state while no flush has folded anything, and
     serial replay of the applied log (plan and utility) at the end.
     Then :class:`~repro.scale.ShardedSolver` on the twin's final
-    instance: ``shards=1`` equals monolithic greedy, a double solve is
-    deterministic, and the sharded plan is feasible and auditor-clean.
+    instance: ``shards=1`` equals monolithic greedy, a second solve
+    through a two-worker pool (pickled shards rebuilt in the workers)
+    equals the in-process one, and the sharded plan is feasible and
+    auditor-clean.
 ``durable``
     :class:`~repro.platform.durable.DurablePlatform`.  One uncrashed pass
     counts the crash points; then every crash point, with and without a
@@ -527,12 +529,11 @@ def _memory_leg(
         _measure_drift(plan, report)
         _check_kernel_vs_scalar(instance, plan, step, report)
 
-    # Strategy and shared-plane equivalence run once per seed on the
-    # final state — after the stream has bent the instance through
-    # NewEvent appends, bound shifts, and cache patches, which is exactly
-    # where a strategy shortcut or a share/attach bug would show.
+    # Strategy equivalence runs once per seed on the final state — after
+    # the stream has bent the instance through NewEvent appends, bound
+    # shifts, and cache patches, which is exactly where a strategy
+    # shortcut would show.
     report.audited(auditor.audit_kernel_strategies(plan))
-    report.audited(auditor.audit_shared_planes(instance))
 
 
 class _InjectedFault(ValueError):
@@ -648,13 +649,15 @@ def _sharded_leg(
         PlanSummary.of(mono.plan),
         "shards=1 must reproduce the monolithic greedy plan",
     )
-    sharded = ShardedSolver(shards=SHARDS, seed=seed)
-    first = sharded.solve(final)
-    second = sharded.solve(final)
+    first = ShardedSolver(shards=SHARDS, seed=seed).solve(final)
+    # The second solve crosses the process boundary: each worker rebuilds
+    # its caches from a pickled shard of the patched final instance.
+    with ShardedSolver(shards=SHARDS, workers=2, seed=seed) as pooled:
+        second = pooled.solve(final)
     report.expect(
         "sharded_determinism", PlanSummary.of(second.plan),
         PlanSummary.of(first.plan),
-        f"double solve (k={SHARDS}) diverged",
+        f"two-worker solve (k={SHARDS}) diverged from the in-process one",
     )
     for violation in check_plan(final, first.plan):
         report.violations.append(f"sharded: {violation}")

@@ -114,11 +114,9 @@ class DistanceMatrix:
     ) -> "DistanceMatrix":
         """Wrap already-computed blocks without re-running the metric.
 
-        The zero-copy shard path builds workers' distance caches this way:
-        the blocks are shared-memory attachments of the parent's matrices,
-        so the values are bit-identical to the parent's by construction.
-        The blocks are adopted as-is (possibly read-only views); callers
-        that need to patch must :meth:`copy` first.
+        :meth:`copy` and :meth:`submatrix` build their results this way,
+        so the values are bit-identical to the source blocks by
+        construction.  The blocks are adopted as-is, not copied.
         """
         if user_event.shape[1] != event_event.shape[0] or (
             event_event.shape[0] != event_event.shape[1]

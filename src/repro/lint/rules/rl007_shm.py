@@ -1,23 +1,22 @@
-"""RL007 shm-discipline: shared-memory segments only via the lifecycle manager.
+"""RL007 shm-discipline: no raw shared-memory segments under ``repro``.
 
-``repro.core.shm`` owns every ``multiprocessing.shared_memory`` segment in
-the repo: :class:`PlaneManager` creates (and exactly-once unlinks) them,
-:func:`attach_plane` opens them without resource-tracker registration, and
-``weakref.finalize`` + ``atexit`` guarantee teardown even on crash paths.
-A raw ``SharedMemory(...)`` constructed anywhere else bypasses all of
-that — the segment has no owner, the resource tracker double-registers it
-under fork pools, and a worker death leaks it in ``/dev/shm`` forever.
+The sharded solver ships each worker a pickled shard instance; nothing
+in the package creates or attaches ``multiprocessing.shared_memory``
+segments, and a new raw one would have no owner: the resource tracker
+double-registers it under fork pools, and a worker death leaves it in
+``/dev/shm``.
 
-The rule therefore flags, outside the owning module:
+The rule therefore flags, in every ``repro`` module not listed in the
+``allow_modules`` option (empty by default):
 
 * any call whose target is ``SharedMemory`` (bare or dotted, however the
   module was imported or aliased);
 * any ``import multiprocessing.shared_memory`` /
-  ``from multiprocessing.shared_memory import ...`` — importing the
-  module at all is the tell that a call site is about to go around the
-  manager.
+  ``from multiprocessing.shared_memory import ...``.
 
-See ``docs/linting.md`` and the module docstring of ``repro/core/shm.py``.
+A module that really needs shared memory must first own a lifecycle
+(exactly-once unlink, untracked attaches, teardown on worker death) and
+then be listed in ``allow_modules``.  See ``docs/linting.md``.
 """
 
 from __future__ import annotations
@@ -36,12 +35,12 @@ class ShmDiscipline(Rule):
     code = "RL007"
     name = "shm-discipline"
     description = (
-        "shared-memory segments must go through repro.core.shm's lifecycle "
-        "manager, never raw SharedMemory(...) at call sites"
+        "no raw SharedMemory(...) or multiprocessing.shared_memory imports "
+        "outside an allow-listed lifecycle owner"
     )
     default_options = {
         "modules": ["repro"],
-        "allow_modules": ["repro.core.shm"],
+        "allow_modules": [],
     }
 
     def check(self, context: ModuleContext) -> list[Finding]:
@@ -61,11 +60,10 @@ class ShmDiscipline(Rule):
                         self.finding(
                             context,
                             node,
-                            f"raw `{dotted}(...)` bypasses the segment "
-                            "lifecycle manager — use PlaneManager.share / "
-                            "attach_plane from repro.core.shm so the "
-                            "segment is tracked, finalized, and unlinked "
-                            "exactly once",
+                            f"raw `{dotted}(...)` creates a segment with no "
+                            "owner to unlink it — ship pickled data to "
+                            "workers instead, or list a module that owns "
+                            "the segment lifecycle in allow_modules",
                         )
                     )
             elif isinstance(node, ast.Import):
@@ -91,7 +89,7 @@ class ShmDiscipline(Rule):
         return self.finding(
             context,
             node,
-            "importing multiprocessing.shared_memory outside "
-            "repro.core.shm — segment creation and attachment belong to "
-            "the lifecycle manager (PlaneManager / attach_plane)",
+            "importing multiprocessing.shared_memory outside an "
+            "allow-listed module — segment creation and attachment need "
+            "an owner that unlinks exactly once",
         )

@@ -7,11 +7,12 @@
    the instance into ``k`` spatial shards (seeded k-means over event
    locations, users to their nearest event-cluster).
 2. **Solve shards** — each shard is an independent GEPC instance solved
-   by the greedy two-step solver.  With ``workers > 1`` the shards go to
-   a ``concurrent.futures.ProcessPoolExecutor`` (shard instances pickle
-   without their caches; see ``Instance.__getstate__``); results come
-   back in shard order, so the merged plan is identical for any worker
-   count.
+   by the greedy two-step solver.  With ``workers > 1`` the partition's
+   pre-cut shard instances are pickled to a
+   ``concurrent.futures.ProcessPoolExecutor`` (without their caches; see
+   ``Instance.__getstate__``) and each worker rebuilds the caches it
+   reads; results come back in shard order, so the merged plan is
+   identical for any worker count.
 3. **Merge + cross-shard recovery** — shard plans are *transplanted*
    into one :class:`~repro.core.plan.GlobalPlan` over the full instance
    (shards are disjoint in users *and* events and the subinstance cache
@@ -34,7 +35,6 @@ shard was solved in a worker process.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -47,7 +47,6 @@ from repro.core.gepc.fill import UtilityFill
 from repro.core.gepc.greedy import GreedySolver
 from repro.core.model import Instance
 from repro.core.plan import GlobalPlan
-from repro.core.shm import PlaneManager
 from repro.obs import Recorder, get_recorder, recording
 from repro.scale.partition import (
     Partition,
@@ -55,18 +54,6 @@ from repro.scale.partition import (
     partition_instance,
     reachable_matrix,
 )
-
-#: Environment switch for the zero-copy dispatch path.  Shared-memory
-#: planes are the default for parallel solves; ``REPRO_SHM=0`` falls back
-#: to pickling each shard's dense slices (useful for platform triage).
-SHM_ENV_VAR = "REPRO_SHM"
-
-
-def _shm_enabled() -> bool:
-    return os.environ.get(SHM_ENV_VAR, "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
-
 
 def _solve_shard(payload: tuple[int, Instance, int | None, bool]) -> dict:
     """Solve one shard (module-level so worker processes can import it).
@@ -97,35 +84,6 @@ def _solve_shard(payload: tuple[int, Instance, int | None, bool]) -> dict:
         "counters": dict(recorder.counters),
         "seconds": span.elapsed,
     }
-
-
-def _solve_shard_shm(
-    payload: tuple[int, Instance, np.ndarray, np.ndarray, int | None, bool]
-) -> dict:
-    """Worker entry for the zero-copy dispatch path.
-
-    ``parent`` arrives as plane handles (see ``Instance.__getstate__``)
-    and is attached — not copied — during unpickling; the worker then
-    cuts its own shard slice from the attached planes.  Slicing copies
-    the same bytes ``Instance.subinstance`` copies in-process from the
-    warmed parent, so the shard solve is bit-identical to the
-    ``workers=1`` path.
-    """
-    index, parent, user_ids, event_ids, seed, fill = payload
-    with recording(Recorder()) as recorder:
-        recorder.count(
-            "shm.planes_attached_in_worker", len(parent._plane_attachments)
-        )
-        with recorder.span("scale.shard_slice"):
-            shard_instance = parent.subinstance(user_ids, event_ids)
-    result = _solve_shard((index, shard_instance, seed, fill))
-    for key, value in recorder.counters.items():
-        result["counters"][key] = result["counters"].get(key, 0) + value
-    # Attachments close on GC too (weakref.finalize); closing before
-    # returning keeps long-lived pool workers from holding mappings.
-    for attachment in parent._plane_attachments:
-        attachment.close()
-    return result
 
 
 def _repair_candidates(
@@ -188,20 +146,11 @@ class ShardedSolver(GEPCSolver):
     filler:
         The boundary-repair filler re-run on fringe users after the
         merge (defaults to :class:`UtilityFill`).
-    share_planes:
-        Whether parallel solves publish the parent's dense planes into
-        shared memory and dispatch shards as (handles, id arrays) —
-        zero-copy — instead of pickling each shard's sliced planes.
-        ``None`` (default) reads the ``REPRO_SHM`` environment switch
-        (on unless set to ``0``/``false``/``off``/``no``).  The merged
-        plan is bit-identical either way.
 
     The process pool is created lazily on the first parallel solve and
     reused across solves; call :meth:`close` (or use the solver as a
-    context manager) to release the workers.  Shared-memory segments
-    live only for the duration of one parallel solve: they are released
-    in a ``finally`` even when a worker dies mid-solve, and a broken
-    pool is torn down and rebuilt on the next solve.
+    context manager) to release the workers.  A pool broken by a worker
+    death is torn down and rebuilt on the next solve.
     """
 
     name = "sharded"
@@ -213,7 +162,6 @@ class ShardedSolver(GEPCSolver):
         seed: int | None = 0,
         fill: bool = True,
         filler: Filler | None = None,
-        share_planes: bool | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -224,7 +172,6 @@ class ShardedSolver(GEPCSolver):
         self._seed = seed
         self._fill = fill
         self._filler = filler or UtilityFill()
-        self._share_planes = share_planes
         self._pool: ProcessPoolExecutor | None = None  # guarded-by: _pool_lock
         self._pool_lock = threading.Lock()
         # Partition memo for repeated solves of the *same* instance
@@ -297,12 +244,11 @@ class ShardedSolver(GEPCSolver):
             return solution
 
         # Warm the dense planes before partitioning so every shard slice
-        # is a bit-exact cut of the same arrays — and so the zero-copy
-        # path has planes to publish.  (The partitioner would warm the
-        # user-event block anyway; this makes the rest explicit.)
+        # is a bit-exact cut of the same arrays.  (The partitioner would
+        # warm the user-event block anyway; this makes the rest explicit.)
         instance.warm_planes()
         partition = self._partition_for(instance)
-        results = self._solve_shards(instance, partition.shards, obs)
+        results = self._solve_shards(partition.shards, obs)
 
         with obs.span("scale.merge"):
             plan = GlobalPlan(instance)
@@ -426,60 +372,24 @@ class ShardedSolver(GEPCSolver):
                     plan.remove(user, event)
         return rescued
 
-    def _solve_shards(
-        self, instance: Instance, shards: list[Shard], obs: Recorder
-    ) -> list[dict]:
+    def _solve_shards(self, shards: list[Shard], obs: Recorder) -> list[dict]:
         width = min(self._workers, len(shards))
+        payloads = [
+            (shard.index, shard.instance, self._seed, self._fill)
+            for shard in shards
+        ]
         with obs.span("scale.solve_shards"):
             if width <= 1:
-                return [
-                    _solve_shard(
-                        (shard.index, shard.instance, self._seed, self._fill)
-                    )
-                    for shard in shards
-                ]
-            share = (
-                _shm_enabled()
-                if self._share_planes is None
-                else self._share_planes
-            )
-            if not share:
-                payloads = [
-                    (shard.index, shard.instance, self._seed, self._fill)
-                    for shard in shards
-                ]
-                return self._map_pool(width, _solve_shard, payloads)
-            # Zero-copy dispatch: publish the parent planes once, ship
-            # only (handles, shard id arrays).  Segments are released in
-            # the finally — also when a worker dies mid-solve — so no
-            # /dev/shm entry can outlive the solve.
-            manager = PlaneManager()
+                return [_solve_shard(payload) for payload in payloads]
+            # Each payload pickles its pre-cut shard instance without
+            # caches (Instance.__getstate__); map() preserves submission
+            # order, so the merge order (and thus the final plan) is
+            # independent of completion order.
             try:
-                instance.share_planes(manager)
-                payloads_shm = [
-                    (
-                        shard.index,
-                        instance,
-                        shard.user_ids,
-                        shard.event_ids,
-                        self._seed,
-                        self._fill,
-                    )
-                    for shard in shards
-                ]
-                return self._map_pool(width, _solve_shard_shm, payloads_shm)
-            finally:
-                instance.unshare_planes()
-                manager.release()
-
-    def _map_pool(self, width: int, worker, payloads: list) -> list[dict]:
-        # map() preserves submission order: merge order (and thus the
-        # final plan) is independent of completion order.
-        try:
-            return list(self._executor(width).map(worker, payloads))
-        except BrokenProcessPool:
-            self._reset_broken_pool()
-            raise
+                return list(self._executor(width).map(_solve_shard, payloads))
+            except BrokenProcessPool:
+                self._reset_broken_pool()
+                raise
 
     def _partition_for(self, instance: Instance) -> Partition:
         """The (memoized) partition of ``instance``.

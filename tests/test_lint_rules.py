@@ -447,7 +447,9 @@ def test_rl007_flags_dotted_and_aliased_construction():
     assert codes(result) == ["RL007", "RL007"]
 
 
-def test_rl007_allows_owning_module():
+def test_rl007_flags_former_owning_module():
+    # The allow-list is empty: the module that once owned the segment
+    # lifecycle gets no exemption.
     result = run(
         """
         from multiprocessing.shared_memory import SharedMemory
@@ -457,22 +459,7 @@ def test_rl007_allows_owning_module():
         """,
         module="repro.core.shm",
     )
-    assert codes(result) == []
-
-
-def test_rl007_allows_manager_call_sites():
-    result = run(
-        """
-        from repro.core.shm import PlaneManager, attach_plane
-
-        def publish(instance):
-            with PlaneManager() as manager:
-                handles = instance.share_planes(manager)
-            return handles
-        """,
-        module="repro.scale.sharded",
-    )
-    assert codes(result) == []
+    assert codes(result) == ["RL007", "RL007"]
 
 
 def test_rl007_silent_outside_repro():
@@ -533,8 +520,8 @@ def test_rl008_flags_row_free_serving_rewrites():
         """,
         module="repro.scale.rogue",
     )
-    # The inline suppression mechanism silences it, as at the two
-    # real dense-oracle branches (model.share_planes, partition).
+    # The inline suppression mechanism silences it, as at the real
+    # dense-oracle branch in the partitioner.
     assert codes(result) == []
 
 

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.tiles import use_distance_backend
 from repro.datasets import MeetupConfig, generate_ebsn, make_city
 from repro.scale import partition_instance, reachable_matrix
 from tests.conftest import (
@@ -142,19 +143,48 @@ class TestSubinstanceSlicing:
                 range(shard.n_events)
             )
 
-    def test_shard_instance_pickle_round_trip(self, clustered):
-        _ = clustered.distances  # warmed caches must not bloat the pickle
-        partition = partition_instance(clustered, k=2, seed=0)
-        shard = partition.shards[0]
-        clone = pickle.loads(pickle.dumps(shard.instance))
+    @pytest.mark.parametrize(
+        "backend, tile_dtype",
+        [("dense", None), ("tiled", "float64"), ("tiled", "float32")],
+        ids=["dense", "tiled-float64", "tiled-float32"],
+    )
+    def test_shard_instance_pickle_round_trip(
+        self, backend, tile_dtype, monkeypatch
+    ):
+        # The round trip a parallel solve makes: a shard cut from a warmed
+        # parent is pickled, and the worker rebuilds its caches under the
+        # same backend.
+        if tile_dtype is not None:
+            monkeypatch.setenv("REPRO_TILE_DTYPE", tile_dtype)
+        # A fresh parent: the module fixture's caches may already be
+        # built under another backend.
+        parent = generate_ebsn(
+            MeetupConfig(n_users=40, n_events=10, n_groups=2, seed=5)
+        )
+        with use_distance_backend(backend):
+            parent.warm_planes()  # warmed caches must not bloat the pickle
+            partition = partition_instance(parent, k=2, seed=0)
+            shard = partition.shards[0]
+            clone = pickle.loads(pickle.dumps(shard.instance))
+            assert clone._distances is None
+            assert clone._conflict_matrix is None
+            assert clone.distance_backend == backend
+            assert shard.instance.distance_backend == backend
+            # Caches are dropped in transit and rebuilt lazily, bit-exact.
+            plane = served_user_event_plane(clone)
+            assert np.array_equal(
+                plane, served_user_event_plane(shard.instance)
+            )
+        if tile_dtype == "float32":
+            assert np.array_equal(plane, plane.astype(np.float32))
         assert clone.n_users == shard.n_users
         assert clone.n_events == shard.n_events
         assert np.array_equal(clone.utility, shard.instance.utility)
-        # Caches are dropped in transit and rebuilt lazily, bit-exact.
         assert np.array_equal(
-            served_user_event_plane(clone),
-            served_user_event_plane(shard.instance),
+            clone.conflict_matrix, shard.instance.conflict_matrix
         )
+        assert np.array_equal(clone.event_starts, shard.instance.event_starts)
+        assert np.array_equal(clone.fee_vector, shard.instance.fee_vector)
 
     def test_city_partition_round_trips(self):
         instance = make_city("beijing", scale=0.3)
